@@ -64,6 +64,12 @@ FrameworkAdapter::run(const Graph &graph, ModelConfig cfg,
         cfg.allowSpmmSage = true;
 
     engine.clearTimeline();
+    // A fresh device address space per run: this run's pipeline
+    // allocates new host buffers, and a mapping left by an earlier
+    // run could match one of them wherever the host heap happens to
+    // put it — the device layout, and with it every cache count,
+    // would then depend on the heap.
+    engine.allocator().reset();
     if (batch == 1) {
         GnnPipeline pipeline(graph, cfg);
         pipeline.run(engine);

@@ -59,8 +59,9 @@ class FrameworkAdapter
                                CompModel requested) const;
 
     /**
-     * Build and run the pipeline on @p engine (whose timeline is
-     * cleared first), returning framework-adjusted timings.
+     * Build and run the pipeline on @p engine (whose timeline and
+     * device address space are reset first, so repeated runs are
+     * measured identically), returning framework-adjusted timings.
      *
      * @param batch Independent inference requests composed into one
      *        op-graph via OpGraph::merge (>= 1). Each replica is a

@@ -6,6 +6,7 @@
 
 #include "graph/Generators.hpp"
 #include "util/Logging.hpp"
+#include "util/RunError.hpp"
 #include "util/StringUtils.hpp"
 
 namespace gsuite {
@@ -73,6 +74,14 @@ loadEdgeList(const std::string &path, int64_t default_flen,
     }
     if (nodes < 0)
         nodes = max_id + 1;
+    // An empty graph has nothing to launch over: every kernel grid
+    // would be empty, so reject it here, as a value one sweep point
+    // can fail with.
+    if (nodes == 0 || src.empty())
+        throw RunException(
+            RunError::Config,
+            "edge list '" + path + "' has no " +
+                (nodes == 0 ? "nodes" : "edges"));
     if (max_id >= nodes)
         fatal("edge list '%s' references node %ld but declares only "
               "%ld nodes",

@@ -22,7 +22,9 @@ void saveEdgeList(const Graph &g, const std::string &path);
 /**
  * Read an edge list written by saveEdgeList() or a bare "u v" file.
  * For bare files the node count is inferred as max id + 1 and the
- * feature length is @p default_flen. fatal() on malformed input.
+ * feature length is @p default_flen. fatal() on malformed input;
+ * throws RunException(RunError::Config) naming @p path when the list
+ * has no nodes or no edges.
  */
 Graph loadEdgeList(const std::string &path, int64_t default_flen = 16,
                    uint64_t feature_seed = 7);

@@ -14,41 +14,86 @@ MshrTable::configure(const MshrConfig &c)
 {
     cfg = c;
     entries.assign(static_cast<size_t>(cfg.entries), Entry{});
+    treeLeaves = 1;
+    while (treeLeaves < entries.size())
+        treeLeaves *= 2;
+    known.reserve(entries.size());
+    reset();
 }
 
 void
 MshrTable::reset()
 {
-    for (Entry &e : entries) {
-        e.used = false;
-        e.releaseAt = 0;
-        e.merges = 0;
-    }
+    for (Entry &e : entries)
+        e = Entry{};
+    pending = 0;
+    known.clear();
+    freeTree.assign(2 * treeLeaves, kPendingRelease);
+    for (size_t i = 0; i < entries.size(); ++i)
+        setFreeFrom(static_cast<int>(i), 0);
+    lineEntries.clear();
+}
+
+void
+MshrTable::setFreeFrom(int entry, uint64_t cycle)
+{
+    size_t node = treeLeaves + static_cast<size_t>(entry);
+    freeTree[node] = cycle;
+    for (node /= 2; node > 0; node /= 2)
+        freeTree[node] =
+            std::min(freeTree[2 * node], freeTree[2 * node + 1]);
+}
+
+int
+MshrTable::lowestFreeAt(uint64_t at) const
+{
+    if (freeTree[1] > at)
+        return -1;
+    size_t node = 1;
+    while (node < treeLeaves)
+        node = freeTree[2 * node] <= at ? 2 * node : 2 * node + 1;
+    return static_cast<int>(node - treeLeaves);
+}
+
+size_t
+MshrTable::busyKnownAfter(uint64_t cycle) const
+{
+    return static_cast<size_t>(
+        known.end() -
+        std::upper_bound(known.begin(), known.end(), cycle));
+}
+
+void
+MshrTable::addKnown(uint64_t cycle)
+{
+    known.insert(std::upper_bound(known.begin(), known.end(), cycle),
+                 cycle);
+}
+
+void
+MshrTable::dropKnown(uint64_t cycle)
+{
+    known.erase(std::lower_bound(known.begin(), known.end(), cycle));
 }
 
 bool
 MshrTable::ready(uint64_t cycle) const
 {
-    int busy = 0;
-    for (const Entry &e : entries) {
-        if (busyAt(e, cycle) && ++busy >= cfg.hitUnderMiss)
-            return false;
-    }
-    return true;
+    const size_t limit = static_cast<size_t>(cfg.hitUnderMiss);
+    const size_t busy_pending = static_cast<size_t>(pending);
+    if (busy_pending + known.size() < limit)
+        return true;
+    return busy_pending + busyKnownAfter(cycle) < limit;
 }
 
 uint64_t
 MshrTable::nextRelease(uint64_t cycle) const
 {
-    uint64_t next = 0;
-    for (const Entry &e : entries) {
-        if (!busyAt(e, cycle))
-            continue;
-        if (e.releaseAt == kPendingRelease)
-            return kPendingRelease; // unknown: re-poll next cycle
-        next = next ? std::min(next, e.releaseAt) : e.releaseAt;
-    }
-    return next;
+    if (pending > 0)
+        return kPendingRelease; // unknown: re-poll once it resolves
+    const auto it =
+        std::upper_bound(known.begin(), known.end(), cycle);
+    return it == known.end() ? 0 : *it;
 }
 
 int
@@ -63,32 +108,44 @@ MshrTable::acquire(uint64_t line, uint64_t &at)
     // flip the entry back to busy retroactively, i.e. the table
     // could go ready -> full without an acquire, which the issue
     // logic is allowed to assume never happens.
-    for (size_t i = 0; i < entries.size(); ++i) {
-        Entry &e = entries[i];
-        if (busyAt(e, at) && e.line == line &&
-            e.merges < cfg.maxMerges) {
-            ++e.merges;
+    for (auto it = lineEntries.lower_bound({line, 0});
+         it != lineEntries.end() && it->first == line; ++it) {
+        const int i = it->second;
+        Entry &e = entries[static_cast<size_t>(i)];
+        if (e.releaseAt <= at || e.merges >= cfg.maxMerges)
+            continue;
+        ++e.merges;
+        if (e.releaseAt != kPendingRelease) {
+            dropKnown(e.releaseAt);
             e.releaseAt = kPendingRelease;
-            return static_cast<int>(i);
+            ++pending;
+            setFreeFrom(i, kPendingRelease);
         }
+        return i;
     }
-    for (;;) {
-        for (size_t i = 0; i < entries.size(); ++i) {
-            Entry &e = entries[i];
-            if (busyAt(e, at))
-                continue;
-            e.line = line;
-            e.releaseAt = kPendingRelease;
-            e.merges = 1;
-            e.used = true;
-            return static_cast<int>(i);
-        }
-        // Full: wait for the earliest known release, then retake.
-        const uint64_t rel = nextRelease(at);
-        if (rel == kPendingRelease || rel == 0)
+
+    int free = lowestFreeAt(at);
+    if (free < 0) {
+        // Full: wait for the earliest known release, which is the
+        // tree minimum once no release is pending, then retake.
+        if (pending > 0)
             return -1; // nothing releases at a known cycle yet
-        at = rel;
+        at = freeTree[1];
+        free = lowestFreeAt(at);
     }
+    Entry &e = entries[static_cast<size_t>(free)];
+    if (e.used) {
+        dropKnown(e.releaseAt); // free, so its release was known
+        lineEntries.erase({e.line, free});
+    }
+    e.line = line;
+    e.releaseAt = kPendingRelease;
+    e.merges = 1;
+    e.used = true;
+    ++pending;
+    setFreeFrom(free, kPendingRelease);
+    lineEntries.insert({line, free});
+    return free;
 }
 
 void
@@ -99,10 +156,16 @@ MshrTable::release(int entry, uint64_t release_at)
             "MSHR release out of range");
     Entry &e = entries[static_cast<size_t>(entry)];
     panicIf(!e.used, "MSHR release of an unclaimed entry");
-    if (e.releaseAt == kPendingRelease)
-        e.releaseAt = release_at;
-    else
-        e.releaseAt = std::max(e.releaseAt, release_at);
+    if (e.releaseAt == kPendingRelease) {
+        --pending;
+    } else {
+        if (release_at <= e.releaseAt)
+            return;
+        dropKnown(e.releaseAt);
+    }
+    e.releaseAt = release_at;
+    addKnown(release_at);
+    setFreeFrom(entry, release_at);
 }
 
 // --- DramChannel ------------------------------------------------------

@@ -25,6 +25,8 @@
 #define GSUITE_SIMGPU_MEMLEVEL_HPP
 
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "simgpu/Cache.hpp"
@@ -37,6 +39,15 @@ namespace gsuite {
  * is outstanding (release pending) or until its release cycle
  * passes; freeing is lazy — acquire() treats any entry whose
  * release is <= the access time as reusable.
+ *
+ * No query scans the entries. The table keeps a count of pending
+ * entries and the sorted known release cycles (ready/nextRelease:
+ * one binary search), a min-tree of each entry's "free from" cycle
+ * (the lowest free entry at any access time: one root-to-leaf
+ * descent), and the ordered set of (line, entry) pairs (merge
+ * lookup: one search, then that line's entries in index order). Query times may be non-monotone (L2 tables
+ * see out-of-order `at` values within one cycle); every answer is
+ * the one a linear scan over the entries would give.
  */
 class MshrTable
 {
@@ -55,18 +66,20 @@ class MshrTable
     /**
      * Earliest cycle after @p cycle at which a busy entry releases.
      * kPendingRelease when there are busy entries whose release is
-     * not yet known (fill still being resolved) — callers must then
-     * re-poll next cycle rather than skip ahead.
+     * not yet known (fill still being resolved); 0 when nothing is
+     * busy.
      */
     uint64_t nextRelease(uint64_t cycle) const;
 
     /**
      * Claim an entry for a miss on @p line at time @p at. Merges
-     * into a busy same-line entry when under the merge cap;
-     * otherwise takes a free entry; otherwise delays @p at to the
-     * earliest known release and retries. Returns the entry index,
-     * or -1 when no entry can be claimed yet (every entry busy with
-     * an unknown release) — the caller must retry later.
+     * into the lowest-index busy same-line entry under the merge
+     * cap; otherwise takes the lowest-index free entry; otherwise
+     * delays @p at to the earliest known release and takes the entry
+     * it frees. Returns the entry index, or -1 when no entry can be
+     * claimed yet (every entry busy and some release unknown) — the
+     * caller must retry later. The only way the table turns from
+     * ready to full.
      */
     int acquire(uint64_t line, uint64_t &at);
 
@@ -86,12 +99,24 @@ class MshrTable
 
     std::vector<Entry> entries;
     MshrConfig cfg;
+    int pending = 0; ///< used entries whose release is unknown
+    /** Known release cycles of used entries, ascending. */
+    std::vector<uint64_t> known;
+    /**
+     * Min segment tree over the entries' "free from" cycle (0 never
+     * used, kPendingRelease pending, else releaseAt); leaves start at
+     * treeLeaves, padding leaves hold kPendingRelease.
+     */
+    std::vector<uint64_t> freeTree;
+    size_t treeLeaves = 1;
+    /** (line, entry) of every used entry. */
+    std::set<std::pair<uint64_t, int>> lineEntries;
 
-    bool busyAt(const Entry &e, uint64_t cycle) const
-    {
-        return e.used &&
-               (e.releaseAt == kPendingRelease || e.releaseAt > cycle);
-    }
+    size_t busyKnownAfter(uint64_t cycle) const;
+    void setFreeFrom(int entry, uint64_t cycle);
+    int lowestFreeAt(uint64_t at) const;
+    void addKnown(uint64_t cycle);
+    void dropKnown(uint64_t cycle);
 };
 
 /**

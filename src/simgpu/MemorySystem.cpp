@@ -1,6 +1,7 @@
 #include "simgpu/MemorySystem.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/Logging.hpp"
 
@@ -29,6 +30,8 @@ MemorySystem::MemorySystem(const GpuConfig &cfg) : cfg(cfg)
             cfg.dramLatency, dramCyclesPerSector));
 
     parked.assign(static_cast<size_t>(cfg.numSms), ParkedReq{});
+    slicePending.assign(
+        static_cast<size_t>(cfg.numSms) * slices.size(), 0);
 }
 
 int
@@ -49,18 +52,6 @@ MemorySystem::sliceLocalAddr(uint64_t addr) const
     return (line / static_cast<uint64_t>(cfg.numL2Slices)) *
                line_bytes +
            addr % line_bytes;
-}
-
-bool
-MemorySystem::l1MshrReady(int sm, uint64_t cycle) const
-{
-    return l1[static_cast<size_t>(sm)]->mshr().ready(cycle);
-}
-
-uint64_t
-MemorySystem::l1MshrNextRelease(int sm, uint64_t cycle) const
-{
-    return l1[static_cast<size_t>(sm)]->mshr().nextRelease(cycle);
 }
 
 bool
@@ -163,12 +154,15 @@ MemorySystem::beginAccess(int sm, uint64_t cycle,
             // sector to the earliest known release; if every entry is
             // busy with an unknown release (entries claimed by this
             // very access), the sector spills untracked (-1) — the
-            // issue-time l1MshrReady() gate keeps this rare.
+            // issue-time l1Mshr().ready() gate keeps this rare.
             const uint64_t line =
                 addr / static_cast<uint64_t>(cfg.l1d.lineBytes);
             uint64_t at = q.issueAt;
             q.l1Entry = l1_level.mshr().acquire(line, at);
             q.issueAt = at;
+            slicePending[static_cast<size_t>(q.slice) *
+                             static_cast<size_t>(cfg.numSms) +
+                         static_cast<size_t>(sm)] |= 1u << i;
             any_pending = true;
         }
     }
@@ -187,6 +181,15 @@ MemorySystem::beginAccess(int sm, uint64_t cycle,
 void
 MemorySystem::resolveSlice(int slice)
 {
+    const size_t num_sms = static_cast<size_t>(cfg.numSms);
+    uint32_t *pending =
+        slicePending.data() + static_cast<size_t>(slice) * num_sms;
+    // An idle slice has nothing to admit, so skipping it (DRAM
+    // bookkeeping included) changes no state.
+    if (std::all_of(pending, pending + num_sms,
+                    [](uint32_t m) { return m == 0; }))
+        return;
+
     Slice &sl = *slices[static_cast<size_t>(slice)];
     sl.dram.beginCycle();
 
@@ -194,16 +197,15 @@ MemorySystem::resolveSlice(int slice)
     // (SM, sector) order. Hits resolve here; misses claim an L2 MSHR
     // entry and a DRAM ticket; back-pressured sectors slip one cycle
     // and retry on the next resolveSlice() call.
-    for (auto &req : parked) {
-        if (!req.active)
+    for (size_t sm = 0; sm < num_sms; ++sm) {
+        if (!pending[sm])
             continue;
+        ParkedReq &req = parked[sm];
         const uint64_t rmw_extra =
             req.kind == MemAccessKind::Atomic ? 4 : 0;
-        for (int i = 0; i < req.numSectors; ++i) {
+        for (uint32_t m = pending[sm]; m; m &= m - 1) {
+            const int i = std::countr_zero(m);
             SectorReq &q = req.sectors[i];
-            if (!q.needsL2 || q.resolved ||
-                q.slice != slice)
-                continue;
             const uint64_t local = sliceLocalAddr(q.addr);
             const CacheLevel::Outcome o =
                 sl.l2.serviceSector(local, q.issueAt);
@@ -212,6 +214,7 @@ MemorySystem::resolveSlice(int slice)
                 q.l2Hit = true;
                 q.done = o.ready + rmw_extra;
                 q.resolved = true;
+                pending[sm] &= ~(1u << i);
                 break;
               case CacheLevel::Outcome::Kind::Forwarded:
                 q.ticket = o.ticket;
@@ -229,14 +232,16 @@ MemorySystem::resolveSlice(int slice)
 
     // Pass 3: redeem tickets — install L2 fills, release L2 MSHR
     // entries, record completions and row-locality outcomes.
-    for (auto &req : parked) {
-        if (!req.active)
+    for (size_t sm = 0; sm < num_sms; ++sm) {
+        if (!pending[sm])
             continue;
+        ParkedReq &req = parked[sm];
         const uint64_t rmw_extra =
             req.kind == MemAccessKind::Atomic ? 4 : 0;
-        for (int i = 0; i < req.numSectors; ++i) {
+        for (uint32_t m = pending[sm]; m; m &= m - 1) {
+            const int i = std::countr_zero(m);
             SectorReq &q = req.sectors[i];
-            if (q.slice != slice || q.resolved || q.ticket < 0)
+            if (q.ticket < 0)
                 continue;
             const uint64_t local = sliceLocalAddr(q.addr);
             const uint64_t ready = sl.dram.readyOf(q.ticket);
@@ -247,6 +252,7 @@ MemorySystem::resolveSlice(int slice)
             q.resolved = true;
             q.ticket = -1;
             q.l2Entry = -1;
+            pending[sm] &= ~(1u << i);
         }
     }
 }
@@ -369,6 +375,7 @@ MemorySystem::reset()
     }
     for (auto &req : parked)
         req = ParkedReq{};
+    std::fill(slicePending.begin(), slicePending.end(), 0u);
 }
 
 } // namespace gsuite

@@ -16,8 +16,10 @@
  *     immediately; anything that needs L2/DRAM is parked (at most one
  *     request per SM, enforced by the LSU port).
  *  2. resolveSlice() — called once per slice per cycle, each slice by
- *     exactly one worker. Walks the parked requests in SM-index order
- *     and services the sectors this slice owns through the slice's
+ *     exactly one worker. Returns at once when no parked sector is
+ *     pending on the slice; otherwise walks the parked requests in
+ *     SM-index order and services the sectors this slice owns (each
+ *     request keeps them grouped by slice) through the slice's
  *     CacheLevel -> DramChannel chain, so the L2/DRAM ordering is a
  *     deterministic function of (cycle, slice, sm) and never of
  *     thread scheduling. A sector can be back-pressured (L2 MSHRs
@@ -68,13 +70,6 @@ struct MemAccessResult {
 class MemorySystem
 {
   public:
-    /**
-     * Sentinel returned by l1MshrNextRelease() when a release cycle
-     * is not yet known (same bit pattern as the SM's kNoEvent).
-     */
-    static constexpr uint64_t kReleaseUnknown =
-        MshrTable::kPendingRelease;
-
     explicit MemorySystem(const GpuConfig &cfg);
 
     /**
@@ -133,20 +128,16 @@ class MemorySystem
     bool anyParkedIncomplete() const;
 
     /**
-     * True when @p sm's L1 MSHR table can admit a new memory
-     * instruction at @p cycle (busy entries below the hit-under-miss
-     * limit). The SM's issue stage gates memory instructions on this
-     * and reports StallReason::MshrFull otherwise.
+     * @p sm's L1 MSHR table. The SM's issue stage gates memory
+     * instructions on its ready() and reports StallReason::MshrFull
+     * otherwise; only @p sm's own accesses (beginAccess claims,
+     * finishAccess releases) ever change it.
      */
-    bool l1MshrReady(int sm, uint64_t cycle) const;
-
-    /**
-     * Earliest cycle after @p cycle at which a busy L1 MSHR entry of
-     * @p sm releases, for stall-event scheduling. kReleaseUnknown
-     * when some busy entry's release is not yet known (its request
-     * is still in flight) — the SM must then re-poll next cycle.
-     */
-    uint64_t l1MshrNextRelease(int sm, uint64_t cycle) const;
+    const MshrTable &
+    l1Mshr(int sm) const
+    {
+        return l1[static_cast<size_t>(sm)]->mshr();
+    }
 
     /**
      * Serial convenience wrapper running all three phases, looping
@@ -227,6 +218,14 @@ class MemorySystem
     std::vector<std::unique_ptr<CacheLevel>> l1;
     std::vector<std::unique_ptr<Slice>> slices;
     std::vector<ParkedReq> parked; ///< one slot per SM
+    /**
+     * Pending sectors grouped by slice: bit i of
+     * [slice * numSms + sm] is set while sector i of @p sm's parked
+     * request waits on that slice. Written by the SM's worker in
+     * beginAccess and by the slice's worker in resolveSlice — the
+     * phase barrier orders the two.
+     */
+    std::vector<uint32_t> slicePending;
     /** Fractional cycle bookkeeping: DRAM service is sub-cycle. */
     double dramCyclesPerSector; ///< per slice
 

@@ -22,7 +22,7 @@ struct HeapLater {
 } // namespace
 
 Sm::Sm(const GpuConfig &cfg, int sm_id, MemorySystem &mem)
-    : cfg(cfg), smId(sm_id), mem(mem),
+    : cfg(cfg), smId(sm_id), mem(mem), l1Mshr(mem.l1Mshr(sm_id)),
       warps(static_cast<size_t>(cfg.maxWarpsPerSm)),
       cls(static_cast<size_t>(cfg.maxWarpsPerSm)),
       aluFree(static_cast<size_t>(cfg.numSchedulers), 0),
@@ -316,15 +316,6 @@ Sm::finalizeParkedMem()
         break; // stores have no consumer-visible completion
     }
     markDirty(parkedWarp, 0); // completion can change the class now
-    // finishAccess released L1 MSHR entries: a cached MshrFull class
-    // may now clear earlier than its recorded unblock cycle.
-    for (int i = 0; i < cfg.maxWarpsPerSm; ++i) {
-        const size_t si = static_cast<size_t>(i);
-        if (slotActive[si] &&
-            slotReason[si] ==
-                static_cast<uint8_t>(StallReason::MshrFull))
-            markDirty(i, 0);
-    }
     parkedWarp = -1;
 }
 
@@ -372,13 +363,12 @@ Sm::classify(int slot, uint64_t cycle) const
                          : StallReason::ExecutionDependency,
                 dep_ready};
     }
-    if (isMemOp(in.op) && !mem.l1MshrReady(smId, cycle)) {
+    if (isMemOp(in.op) && !l1Mshr.ready(cycle)) {
         // The L1 MSHR table is at its hit-under-miss limit: the LSU
         // cannot accept this memory instruction. The unblock event is
         // the earliest known entry release (kNoEvent while a release
         // is still in flight).
-        return {StallReason::MshrFull,
-                mem.l1MshrNextRelease(smId, cycle)};
+        return {StallReason::MshrFull, l1Mshr.nextRelease(cycle)};
     }
     return {StallReason::NotSelected, 0}; // ready to issue
 }
@@ -446,15 +436,10 @@ Sm::reclassify(int slot, uint64_t cycle)
                               : StallReason::ExecutionDependency;
             unblock = dep_ready;
             expiry = dep_change;
-        } else if (isMemOp(in.op) &&
-                   !mem.l1MshrReady(smId, cycle)) {
-            reason = StallReason::MshrFull;
-            unblock = mem.l1MshrNextRelease(smId, cycle);
-            // With an unknown release (a fill still in flight) the
-            // class must be re-derived every cycle; otherwise the
-            // earliest release is exactly when it can change.
-            expiry = unblock == kNoEvent ? cycle + 1 : unblock;
         } else {
+            // Ready to issue. A memory head is MSHR-gated:
+            // stepCycleFast() reads it as MshrFull on every cycle the
+            // L1 MSHR table is full, without re-deriving it.
             reason = StallReason::NotSelected;
             unblock = 0;
             expiry = kNoEvent; // ready until issued or mutated
@@ -742,6 +727,16 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
             reclassify(slot, cycle);
     }
 
+    // MSHR-gated warps — memory heads nothing else blocks, i.e. the
+    // memory ready lists — are NotSelected or MshrFull by the L1 MSHR
+    // table alone. One table read settles them all for the cycle:
+    // the reference classifies every warp before any issue, so a full
+    // table makes them MshrFull and never candidates.
+    uint64_t mshr_gated = 0;
+    for (const auto &list : readyKind[kReadyMem])
+        mshr_gated += list.size();
+    const bool mshr_full = mshr_gated > 0 && !l1Mshr.ready(cycle);
+
     bool issued_any = false;
     bool any_port_block = false;
     uint64_t min_event = kNoEvent;
@@ -762,18 +757,7 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
             const size_t i = static_cast<size_t>(slot);
             const OccBucket b =
                 bucketForLanes(static_cast<int>(slotLanes[i]));
-            const bool was_mem = slotIsMem[i] != 0;
             issueInstr(slot, cycle, s);
-            if (was_mem && !mem.l1MshrReady(smId, cycle + 1)) {
-                // The issue claimed L1 MSHR entries past the
-                // hit-under-miss limit: cached classifications of
-                // other memory-head warps are stale for next cycle.
-                for (int j = 0; j < cfg.maxWarpsPerSm; ++j) {
-                    const size_t sj = static_cast<size_t>(j);
-                    if (slotActive[sj] && slotIsMem[sj])
-                        markDirty(j, cycle + 1);
-                }
-            }
             // Count as Issued this cycle unless the warp just
             // finished (an issued EXIT leaves the stall attribution,
             // like the reference pass-3 skip of done warps);
@@ -810,7 +794,9 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
             int pick = -1;
             const int sticky = greedyWarp[ss];
             if (sticky >= 0 &&
-                readyPos[static_cast<size_t>(sticky)] >= 0) {
+                readyPos[static_cast<size_t>(sticky)] >= 0 &&
+                !(mshr_full &&
+                  slotIsMem[static_cast<size_t>(sticky)] != 0)) {
                 const size_t i = static_cast<size_t>(sticky);
                 const bool na = slotNeedsAlu[i] != 0;
                 if ((na && alu_busy) ||
@@ -822,6 +808,7 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
             if (pick < 0) {
                 const auto &ra = readyKind[kReadyAlu][ss];
                 const auto &rm = readyKind[kReadyMem][ss];
+                const bool mem_candidates = !mshr_full && !rm.empty();
                 const auto &ro = readyKind[kReadyOther][ss];
                 uint64_t pick_age = kNoEvent;
                 if (!alu_busy && !ra.empty()) {
@@ -829,7 +816,7 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
                     pick_age =
                         slotAge[static_cast<size_t>(pick)];
                 }
-                if (!lsu_busy && !rm.empty() &&
+                if (!lsu_busy && mem_candidates &&
                     slotAge[static_cast<size_t>(rm.front())] <
                         pick_age) {
                     pick = rm.front();
@@ -849,7 +836,7 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
                     slotAge[static_cast<size_t>(ra.front())] <
                         pick_age)
                     blocked_attempt(true);
-                if (lsu_busy && !rm.empty() &&
+                if (lsu_busy && mem_candidates &&
                     slotAge[static_cast<size_t>(rm.front())] <
                         pick_age)
                     blocked_attempt(false);
@@ -870,7 +857,8 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
                 if (!slotActive[i])
                     continue;
                 if (slotReason[i] !=
-                    static_cast<uint8_t>(StallReason::NotSelected))
+                        static_cast<uint8_t>(StallReason::NotSelected) ||
+                    (mshr_full && slotIsMem[i] != 0))
                     continue;
                 const bool na = slotNeedsAlu[i] != 0;
                 if ((na && alu_busy) ||
@@ -902,6 +890,14 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
     // unblock sweep runs only then instead of maintaining a second
     // heap on every classification change.
     lastStall = stallCount;
+    if (mshr_full) {
+        // No gated warp issued (the memory lists were hidden), so the
+        // pre-issue count still holds.
+        lastStall[static_cast<size_t>(StallReason::NotSelected)] -=
+            mshr_gated;
+        lastStall[static_cast<size_t>(StallReason::MshrFull)] +=
+            mshr_gated;
+    }
     if (!issued_any) {
         const int nw = cfg.maxWarpsPerSm;
         for (int i = 0; i < nw; ++i) {
@@ -912,6 +908,13 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
                 static_cast<uint8_t>(StallReason::NotSelected))
                 continue;
             const uint64_t ev = slotUnblock[si];
+            if (ev > cycle && ev != kNoEvent)
+                min_event = std::min(min_event, ev);
+        }
+        // Every MshrFull warp's unblock is the table's next release
+        // (unknown while a release is pending).
+        if (mshr_full) {
+            const uint64_t ev = l1Mshr.nextRelease(cycle);
             if (ev > cycle && ev != kNoEvent)
                 min_event = std::min(min_event, ev);
         }

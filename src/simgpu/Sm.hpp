@@ -22,7 +22,10 @@
  * maintained per-class counts — no per-warp virtual-register
  * scoreboard walk per cycle (the earliest stall-clear event is
  * swept only on no-issue cycles, each of which opens a
- * fast-forward window). The pre-SoA path is kept verbatim behind
+ * fast-forward window). Ready memory-head warps, whose class
+ * depends only on the L1 MSHR table, share one table read per
+ * cycle instead of being re-derived whenever it fills or drains.
+ * The pre-SoA path is kept verbatim behind
  * GpuConfig::referenceIssue; both paths produce bit-identical
  * statistics (KernelStats::classifyEvals, a diagnostic, is the
  * single intended exception), enforced by
@@ -184,6 +187,7 @@ class Sm
     const GpuConfig &cfg;
     int smId;
     MemorySystem &mem;
+    const MshrTable &l1Mshr; ///< this SM's L1 table (only it mutates it)
     const KernelLaunch *launch = nullptr;
     KernelStats *stats = nullptr;
     size_t chunkBudget = 256;
@@ -228,7 +232,9 @@ class Sm
      * lists instead of attempting every blocked candidate; the
      * blocked lists' head ages still tell exactly which reference
      * attempts would have happened (for the structural-stall flag
-     * and hazard event merges, which are idempotent per port).
+     * and hazard event merges, which are idempotent per port). A
+     * full L1 MSHR table hides the kReadyMem lists altogether:
+     * their warps are MshrFull that cycle, not candidates.
      */
     std::array<std::vector<std::vector<int>>, 3> readyKind;
     static constexpr int kReadyAlu = 0;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/ExecutionEngine.hpp"
+#include "frameworks/FrameworkAdapter.hpp"
 #include "graph/Generators.hpp"
 #include "kernels/IndexSelect.hpp"
 #include "kernels/Scatter.hpp"
@@ -81,6 +82,40 @@ TEST(FunctionalEngineTest, CacheProfilingFillsHwRecords)
     for (const auto &rec : engine.timeline()) {
         EXPECT_TRUE(rec.hasHw);
         EXPECT_GT(rec.hw.l1Hits + rec.hw.l1Misses, 0u);
+    }
+}
+
+TEST(FunctionalEngineTest, RepeatedRunsProfileIdentically)
+{
+    // The measured-runs protocol: one engine, several adapter runs,
+    // each building a fresh pipeline. Buffers kept alive between runs
+    // move where the host heap places the next run's buffers; the
+    // profiled cache counts must not notice.
+    const Graph g = smallGraph();
+    ModelConfig cfg;
+    FunctionalEngine::Options opts;
+    opts.profileCaches = true;
+    FunctionalEngine engine(opts);
+    const FrameworkAdapter adapter(Framework::Gsuite);
+    std::vector<std::vector<float>> heap_shift;
+    std::vector<std::vector<KernelRecord>> runs;
+    for (int r = 0; r < 3; ++r) {
+        runs.push_back(adapter.run(g, cfg, engine).timeline);
+        heap_shift.emplace_back(4096 * (r + 1), 1.0f);
+    }
+    ASSERT_FALSE(runs[0].empty());
+    for (size_t r = 1; r < runs.size(); ++r) {
+        ASSERT_EQ(runs[r].size(), runs[0].size());
+        for (size_t k = 0; k < runs[0].size(); ++k) {
+            SCOPED_TRACE(runs[0][k].name + " run " + std::to_string(r));
+            const HwProfileResult &a = runs[0][k].hw;
+            const HwProfileResult &b = runs[r][k].hw;
+            EXPECT_TRUE(runs[r][k].hasHw);
+            EXPECT_EQ(a.l1Hits, b.l1Hits);
+            EXPECT_EQ(a.l1Misses, b.l1Misses);
+            EXPECT_EQ(a.l2Hits, b.l2Hits);
+            EXPECT_EQ(a.l2Misses, b.l2Misses);
+        }
     }
 }
 

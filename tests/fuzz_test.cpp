@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <deque>
@@ -23,6 +24,7 @@
 #include "serving/RequestStream.hpp"
 #include "serving/ServingScheduler.hpp"
 #include "simgpu/GpuSimulator.hpp"
+#include "simgpu/MemLevel.hpp"
 #include "sparse/Convert.hpp"
 #include "sparse/SparseOps.hpp"
 #include "tensor/Ops.hpp"
@@ -57,11 +59,192 @@ randomGraph(Rng &rng, int64_t max_nodes = 120, int64_t max_flen = 24)
     return g;
 }
 
+/**
+ * Linear-scan MSHR table: the straightforward model the incremental
+ * MshrTable must agree with on every answer and every entry index.
+ */
+class ScanMshrTable
+{
+  public:
+    static constexpr uint64_t kPending = MshrTable::kPendingRelease;
+
+    void
+    configure(const MshrConfig &c)
+    {
+        cfg = c;
+        entries.assign(static_cast<size_t>(c.entries), Entry{});
+    }
+
+    void
+    reset()
+    {
+        for (Entry &e : entries)
+            e = Entry{};
+    }
+
+    bool
+    ready(uint64_t cycle) const
+    {
+        int busy = 0;
+        for (const Entry &e : entries)
+            busy += busyAt(e, cycle) ? 1 : 0;
+        return busy < cfg.hitUnderMiss;
+    }
+
+    uint64_t
+    nextRelease(uint64_t cycle) const
+    {
+        uint64_t next = 0;
+        for (const Entry &e : entries) {
+            if (!busyAt(e, cycle))
+                continue;
+            if (e.releaseAt == kPending)
+                return kPending;
+            next = next ? std::min(next, e.releaseAt) : e.releaseAt;
+        }
+        return next;
+    }
+
+    int
+    acquire(uint64_t line, uint64_t &at)
+    {
+        for (size_t i = 0; i < entries.size(); ++i) {
+            Entry &e = entries[i];
+            if (busyAt(e, at) && e.line == line &&
+                e.merges < cfg.maxMerges) {
+                ++e.merges;
+                e.releaseAt = kPending;
+                return static_cast<int>(i);
+            }
+        }
+        for (;;) {
+            for (size_t i = 0; i < entries.size(); ++i) {
+                Entry &e = entries[i];
+                if (busyAt(e, at))
+                    continue;
+                e = Entry{line, kPending, 1, true};
+                return static_cast<int>(i);
+            }
+            const uint64_t rel = nextRelease(at);
+            if (rel == kPending || rel == 0)
+                return -1;
+            at = rel;
+        }
+    }
+
+    void
+    release(int entry, uint64_t release_at)
+    {
+        Entry &e = entries[static_cast<size_t>(entry)];
+        e.releaseAt = e.releaseAt == kPending
+                          ? release_at
+                          : std::max(e.releaseAt, release_at);
+    }
+
+    bool
+    used(int entry) const
+    {
+        return entries[static_cast<size_t>(entry)].used;
+    }
+
+  private:
+    struct Entry {
+        uint64_t line = 0;
+        uint64_t releaseAt = 0;
+        int merges = 0;
+        bool used = false;
+    };
+
+    std::vector<Entry> entries;
+    MshrConfig cfg;
+
+    static bool
+    busyAt(const Entry &e, uint64_t cycle)
+    {
+        return e.used &&
+               (e.releaseAt == kPending || e.releaseAt > cycle);
+    }
+};
+
 } // namespace
 
 class FuzzSeeds : public ::testing::TestWithParam<uint64_t>
 {
 };
+
+/**
+ * The incremental MshrTable against the linear-scan model under
+ * random operation sequences: non-monotone access times (an L2 table
+ * sees out-of-order `at` values within one cycle), a small line pool
+ * that saturates the merge cap, releases that extend known release
+ * cycles, and resets. Every answer and entry index must match.
+ */
+TEST_P(FuzzSeeds, MshrTableMatchesLinearScanOracle)
+{
+    Rng rng(GetParam() * 977 + 11);
+    MshrConfig cfg;
+    cfg.entries = 1 + static_cast<int>(rng.nextBelow(
+                          rng.nextBool(0.3) ? 130 : 12));
+    cfg.maxMerges = 1 + static_cast<int>(rng.nextBelow(4));
+    cfg.hitUnderMiss =
+        1 + static_cast<int>(
+                rng.nextBelow(static_cast<uint64_t>(cfg.entries)));
+    SCOPED_TRACE(testing::Message()
+                 << "entries " << cfg.entries << " merges "
+                 << cfg.maxMerges << " hum " << cfg.hitUnderMiss);
+    MshrTable table;
+    ScanMshrTable oracle;
+    table.configure(cfg);
+    oracle.configure(cfg);
+
+    const uint64_t lines =
+        1 + rng.nextBelow(static_cast<uint64_t>(cfg.entries) + 4);
+    uint64_t now = 100;
+    auto some_time = [&] { return now - 40 + rng.nextBelow(120); };
+    std::vector<int> claimed;
+    for (int op = 0; op < 4000; ++op) {
+        SCOPED_TRACE(testing::Message() << "op " << op);
+        now += rng.nextBelow(3);
+        const uint64_t kind = rng.nextBelow(100);
+        if (kind < 40) {
+            const uint64_t line = rng.nextBelow(lines);
+            uint64_t at = some_time();
+            uint64_t oracle_at = at;
+            const int got = table.acquire(line, at);
+            ASSERT_EQ(got, oracle.acquire(line, oracle_at));
+            ASSERT_EQ(at, oracle_at);
+            if (got >= 0)
+                claimed.push_back(got);
+        } else if (kind < 70) {
+            if (claimed.empty())
+                continue;
+            const size_t pick = static_cast<size_t>(
+                rng.nextBelow(claimed.size()));
+            const int entry = claimed[pick];
+            // Usually retire the claim; sometimes release it again
+            // (a merged fill extending a known release).
+            if (rng.nextBool(0.8)) {
+                claimed[pick] = claimed.back();
+                claimed.pop_back();
+            }
+            ASSERT_TRUE(oracle.used(entry));
+            const uint64_t when = now + rng.nextBelow(200);
+            table.release(entry, when);
+            oracle.release(entry, when);
+        } else if (kind < 85) {
+            const uint64_t c = some_time();
+            ASSERT_EQ(table.ready(c), oracle.ready(c)) << "cycle " << c;
+        } else if (kind < 99) {
+            const uint64_t c = some_time();
+            ASSERT_EQ(table.nextRelease(c), oracle.nextRelease(c))
+                << "cycle " << c;
+        } else {
+            table.reset();
+            oracle.reset();
+            claimed.clear();
+        }
+    }
+}
 
 TEST_P(FuzzSeeds, RandomPipelineMatchesReference)
 {

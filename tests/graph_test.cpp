@@ -18,6 +18,7 @@
 #include "graph/Transforms.hpp"
 #include "sparse/Convert.hpp"
 #include "sparse/SparseOps.hpp"
+#include "util/RunError.hpp"
 
 using namespace gsuite;
 
@@ -363,6 +364,29 @@ TEST(EdgeListIo, BareFileInfersNodeCount)
     const Graph g = loadEdgeList(path, 4);
     EXPECT_EQ(g.numNodes(), 6);
     EXPECT_EQ(g.numEdges(), 2);
+    std::remove(path.c_str());
+}
+
+TEST(EdgeListIo, EmptyListIsAConfigError)
+{
+    const std::string path = "/tmp/gsuite_test_empty.txt";
+    // No nodes at all, then a declared node count but no edges.
+    for (const char *body : {"", "# gsuite-edgelist nodes=4\n"}) {
+        {
+            std::FILE *f = std::fopen(path.c_str(), "w");
+            std::fputs(body, f);
+            std::fclose(f);
+        }
+        try {
+            loadEdgeList(path, 4);
+            ADD_FAILURE() << "empty edge list loaded: '" << body << "'";
+        } catch (const RunException &e) {
+            EXPECT_EQ(e.kind(), RunError::Config);
+            EXPECT_NE(std::string(e.what()).find(path),
+                      std::string::npos)
+                << e.what();
+        }
+    }
     std::remove(path.c_str());
 }
 

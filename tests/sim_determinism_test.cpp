@@ -406,28 +406,50 @@ TEST(SimDeterminism, FastIssuePathMatchesReferenceOnAllSixKernels)
     launches.push_back(ew.makeLaunch(alloc));
     ASSERT_EQ(launches.size(), 6u);
 
-    SimOptions opts;
-    opts.maxCtas = 96;
-    for (const SchedulerPolicy pol :
-         {SchedulerPolicy::Gto, SchedulerPolicy::Lrr}) {
-        GpuConfig fast_cfg = detConfig();
-        fast_cfg.scheduler = pol;
-        GpuConfig ref_cfg = fast_cfg;
-        ref_cfg.referenceIssue = true;
-        GpuSimulator fast_sim(fast_cfg);
-        GpuSimulator ref_sim(ref_cfg);
-        for (const KernelLaunch &launch : launches) {
-            const KernelStats fast = fast_sim.run(launch, opts);
-            const KernelStats ref = ref_sim.run(launch, opts);
-            SCOPED_TRACE(std::string(launch.name) + " / " +
-                         schedulerPolicyName(pol));
-            expectStatsEqual(fast, ref,
-                             /*compare_trace_peak=*/true,
-                             /*compare_classify_evals=*/false);
-            // The fast path must actually be lazier than re-deriving
-            // every resident warp every cycle.
-            EXPECT_LT(fast.classifyEvals, ref.classifyEvals)
-                << launch.name;
+    // The preset's MSHR tables, and a tiny L1 table (4 entries, no
+    // merging, issue stops at 2 busy) that keeps the MshrFull class
+    // — the fast path's table-gated warps — under constant
+    // contention.
+    const MshrConfig tiny_l1{4, 1, 2};
+    for (const bool tiny : {false, true}) {
+        for (const SchedulerPolicy pol :
+             {SchedulerPolicy::Gto, SchedulerPolicy::Lrr}) {
+            GpuConfig fast_cfg = detConfig();
+            fast_cfg.scheduler = pol;
+            if (tiny)
+                fast_cfg.l1Mshr = tiny_l1;
+            GpuConfig ref_cfg = fast_cfg;
+            ref_cfg.referenceIssue = true;
+            GpuSimulator ref_sim(ref_cfg);
+            GpuSimulator fast_sim(fast_cfg);
+            uint64_t mshr_full = 0;
+            for (const KernelLaunch &launch : launches) {
+                SimOptions opts;
+                opts.maxCtas = 96;
+                const KernelStats ref = ref_sim.run(launch, opts);
+                for (const int threads : {1, 4}) {
+                    opts.numThreads = threads;
+                    const KernelStats fast = fast_sim.run(launch, opts);
+                    SCOPED_TRACE(std::string(launch.name) + " / " +
+                                 schedulerPolicyName(pol) + " / " +
+                                 (tiny ? "tiny L1 MSHR" : "preset") +
+                                 " / " + std::to_string(threads) +
+                                 " threads");
+                    expectStatsEqual(fast, ref,
+                                     /*compare_trace_peak=*/true,
+                                     /*compare_classify_evals=*/false);
+                    // The fast path must actually be lazier than
+                    // re-deriving every resident warp every cycle.
+                    EXPECT_LT(fast.classifyEvals, ref.classifyEvals)
+                        << launch.name;
+                    mshr_full += fast.stallCycles[static_cast<size_t>(
+                        StallReason::MshrFull)];
+                }
+            }
+            if (tiny) {
+                EXPECT_GT(mshr_full, 0u)
+                    << "the tiny table never filled";
+            }
         }
     }
 }
