@@ -85,6 +85,14 @@ BenchArgs::parse(int argc, char **argv)
 {
     OptionSet opts;
     opts.parseArgs(argc, argv);
+    const BenchArgs args = parse(opts);
+    opts.rejectUnread();
+    return args;
+}
+
+BenchArgs
+BenchArgs::parse(const OptionSet &opts)
+{
     if (opts.getBool("list-gpus", false))
         listHwPresetsAndExit();
     BenchArgs args;

@@ -93,6 +93,17 @@ struct BenchArgs {
      */
     std::vector<std::string> gpus{"v100-sim"};
 
+    /**
+     * Read the common flags from @p opts. A bench with flags of its
+     * own reads them from the same set afterwards, then calls
+     * opts.rejectUnread().
+     */
+    static BenchArgs parse(const OptionSet &opts);
+
+    /**
+     * parse() for a bench with no flags of its own: any flag other
+     * than the common ones is rejected with fatal().
+     */
     static BenchArgs parse(int argc, char **argv);
 
     int64_t maxCtas() const { return quick ? 256 : 2048; }

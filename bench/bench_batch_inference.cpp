@@ -63,7 +63,7 @@ main(int argc, char **argv)
     cli.parseArgs(argc, argv);
     const std::string json_path =
         cli.getString("json", "BENCH_batch_inference.json");
-    BenchArgs args = BenchArgs::parse(argc, argv);
+    const BenchArgs args = BenchArgs::parse(cli);
     const int lanes = static_cast<int>(cli.getInt("lanes", 4));
 
     std::vector<int> batches;
@@ -87,6 +87,7 @@ main(int argc, char **argv)
     UserParams base = args.simBase();
     base.dataset = cli.getString("dataset", "cora");
     base.model = gnnModelFromName(cli.getString("model", "gcn"));
+    cli.rejectUnread();
     base.comp = CompModel::Mp;
     // The lanes ARE the measured concurrency: launches simulate
     // single-threaded on their own lane, deterministically.

@@ -31,6 +31,14 @@ main(int argc, char **argv)
     const bool quick = opts.getBool("quick", false);
     std::string path = opts.getString("edgelist", "");
     const int64_t flen = opts.getInt("flen", 16);
+    const std::string csv_path = opts.getString("csv", "");
+    const GnnModelKind model =
+        gnnModelFromName(opts.getString("model", "gcn"));
+    const CompModel comp = compModelFromName(opts.getString("comp", "mp"));
+    const int layers = static_cast<int>(opts.getInt("layers", 2));
+    const int sim_threads =
+        static_cast<int>(opts.getInt("sim-threads", 0));
+    opts.rejectUnread();
 
     banner("Edge-list dataset bench",
            "SNAP-format 'u v' edge list through the sweep API "
@@ -56,12 +64,11 @@ main(int argc, char **argv)
     base.engine = EngineKind::Sim;
     base.runs = 1;
     base.maxCtas = quick ? 256 : 2048;
-    base.model = gnnModelFromName(opts.getString("model", "gcn"));
-    base.comp = compModelFromName(opts.getString("comp", "mp"));
-    base.layers = static_cast<int>(opts.getInt("layers", 2));
+    base.model = model;
+    base.comp = comp;
+    base.layers = layers;
     base.featureCap = flen; // file datasets take flen from the cap
-    base.simThreads =
-        static_cast<int>(opts.getInt("sim-threads", 0));
+    base.simThreads = sim_threads;
 
     const SweepSpec spec =
         SweepSpec{}.base(base).datasetNames({"file:" + path});
@@ -89,6 +96,6 @@ main(int argc, char **argv)
     }
     table.print();
 
-    store.toCsv(opts.getString("csv", ""));
+    store.toCsv(csv_path);
     return 0;
 }

@@ -42,9 +42,10 @@ main(int argc, char **argv)
     const std::string dataset = cli.getString("dataset", "cora");
     // BenchArgs handles --list-gpus/--quick/--csv/--sweep-threads;
     // default to the full machine registry rather than one preset.
-    BenchArgs args = BenchArgs::parse(argc, argv);
+    BenchArgs args = BenchArgs::parse(cli);
     if (!cli.has("gpu"))
         args.gpus = sweepableHwPresetNames();
+    cli.rejectUnread();
 
     std::string gpu_note;
     for (const std::string &g : args.gpus)

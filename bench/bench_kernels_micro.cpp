@@ -87,10 +87,11 @@ main(int argc, char **argv)
 {
     OptionSet cli;
     cli.parseArgs(argc, argv);
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const BenchArgs args = BenchArgs::parse(cli);
     const std::string json_path = cli.getString("json", "");
     const int reps = static_cast<int>(
         cli.getInt("reps", args.quick ? 3 : 20));
+    cli.rejectUnread();
     if (reps < 1)
         fatal("--reps must be >= 1");
 

@@ -94,7 +94,7 @@ main(int argc, char **argv)
 {
     OptionSet cli;
     cli.parseArgs(argc, argv);
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const BenchArgs args = BenchArgs::parse(cli);
     const std::string json_path =
         cli.getString("json", "BENCH_memplan.json");
     const std::vector<int> batches = parseBatchList(
@@ -104,6 +104,7 @@ main(int argc, char **argv)
 
     UserParams base = args.simBase();
     base.dataset = cli.getString("dataset", "cora");
+    cli.rejectUnread();
     base.comp = CompModel::Mp; // supported by all four models
     base.memPlan = true;
     if (args.quick) {

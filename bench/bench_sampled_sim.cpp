@@ -334,6 +334,7 @@ main(int argc, char **argv)
     // Frontier exploration without the acceptance gates (e.g. when
     // retuning workload sizes or the error model).
     const bool no_gate = opts.getBool("no-gate", false);
+    opts.rejectUnread();
 
     // Populations are counted after the preset's SM-subset division
     // (v100-sim: /10): 327680 rows at feat 64 (2 chunks) -> 81920

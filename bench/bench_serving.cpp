@@ -112,7 +112,7 @@ main(int argc, char **argv)
 {
     OptionSet cli;
     cli.parseArgs(argc, argv);
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const BenchArgs args = BenchArgs::parse(cli);
     const std::string json_path =
         cli.getString("json", "BENCH_serving.json");
     const uint64_t horizon =
@@ -160,6 +160,7 @@ main(int argc, char **argv)
     UserParams base = args.simBase();
     base.dataset = cli.getString("dataset", "cora");
     base.model = gnnModelFromName(cli.getString("model", "gcn"));
+    cli.rejectUnread();
     base.comp = CompModel::Mp;
     base.simThreads = 0; // profiling only; serving loop is host code
     if (args.quick) {

@@ -1,30 +1,29 @@
 /**
  * @file
  * Simulator-throughput benchmark: wall-clock and resident trace
- * memory per kernel class, comparing the pre-PR engine shape (the
- * per-warp reference issue path, one worker thread,
- * effectively-unbounded trace chunks — the eager-materialization
- * footprint) against the optimized configuration (SoA issue fast
- * path, streamed chunks + parallel SM stepping). The SGEMM-dense
- * point is the issue-bound archetype the SoA rewrite targets: a
- * deep-K GEMM whose schedulers are saturated with FMA chains.
+ * memory per kernel class, with intra-kernel thread scaling — the
+ * default engine configuration on one SM thread against the same
+ * configuration on --threads. The SGEMM-dense point is the
+ * issue-bound archetype: a deep-K GEMM whose schedulers are
+ * saturated with FMA chains.
  *
  * Emits machine-readable JSON (default BENCH_sim_throughput.json)
- * via ResultStore::toJson so later PRs can track the performance
- * trajectory:
+ * via ResultStore::toJson so later changes can track the
+ * performance trajectory:
  *
  *   --json FILE    output path
- *   --threads N    worker threads for the optimized config (0 = auto)
+ *   --threads N    SM worker threads of the scaled run (0 = auto)
  *   --chunk N      trace-chunk instructions (default 256)
  *   --quick        smaller workloads for smoke runs
  *
- * KernelStats are bit-identical between the two configurations (the
- * determinism suite enforces this); only wall-clock and footprint
- * change.
+ * KernelStats are bit-identical across thread counts (the
+ * determinism suite enforces this, and the bench panics if cycles
+ * differ); only wall-clock changes.
  */
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -81,67 +80,47 @@ skewedCsr(int64_t n, uint64_t seed)
 }
 
 /**
- * Simulate @p launch under both engine configurations, repeating
- * @p reps times and keeping the best wall-clock of each (standard
- * min-of-N timing). The baseline is the pre-PR engine shape: the
- * per-warp reference issue path (GpuConfig::referenceIssue), legacy
- * every-SM-every-cycle stepping, and eager-size trace chunks; the
- * optimized configuration is the default SoA issue fast path with
- * streamed chunks and parallel SM stepping. Everything lands in the
- * outcome's metrics so ResultStore::toJson can emit it for trend
- * tracking.
+ * Simulate @p launch in the default configuration on one SM thread
+ * and on @p threads, repeating @p reps times and keeping the best
+ * wall-clock of each (standard min-of-N timing). Everything lands in
+ * the outcome's metrics so ResultStore::toJson can emit it for trend
+ * tracking; thread_eff is the scaling efficiency on this host.
  */
 void
 measure(RunOutcome &out, const KernelLaunch &launch,
         const GpuConfig &cfg, int64_t max_ctas, int threads,
         int chunk, int reps)
 {
-    SimOptions base;
-    base.maxCtas = max_ctas;
-    base.numThreads = 1;
-    base.traceChunkInstrs = 1 << 22;  // eager-equivalent footprint
-    base.perSmFastForward = false;    // legacy stepping
-
-    SimOptions opt;
-    opt.maxCtas = max_ctas;
-    opt.numThreads = threads;
-    opt.traceChunkInstrs = chunk;
-
-    double baseline_ms = 0.0, optimized_ms = 0.0;
-    uint64_t cycles = 0;
-
-    GpuConfig ref_cfg = cfg;
-    ref_cfg.referenceIssue = true; // pre-SoA per-warp issue path
-    GpuSimulator ref_sim(ref_cfg);
     GpuSimulator sim(cfg);
-    for (int i = 0; i < reps; ++i) {
-        Timer t;
-        const KernelStats st = ref_sim.run(launch, base);
-        const double ms = t.elapsedMs();
-        if (i == 0 || ms < baseline_ms)
-            baseline_ms = ms;
-        cycles = st.cycles;
-        out.metrics["baseline_trace_bytes_peak"] =
-            static_cast<double>(st.traceBytesPeak);
-        out.metrics["cycles"] = static_cast<double>(st.cycles);
-        out.metrics["warp_instrs"] =
-            static_cast<double>(st.warpInstrs);
+    double best_ms[2] = {0.0, 0.0};
+    KernelStats first;
+    for (int k = 0; k < 2; ++k) {
+        SimOptions opts;
+        opts.maxCtas = max_ctas;
+        opts.numThreads = k == 0 ? 1 : threads;
+        opts.traceChunkInstrs = chunk;
+        for (int i = 0; i < reps; ++i) {
+            Timer t;
+            const KernelStats st = sim.run(launch, opts);
+            const double ms = t.elapsedMs();
+            if (i == 0 || ms < best_ms[k])
+                best_ms[k] = ms;
+            if (k == 0 && i == 0)
+                first = st;
+            panicIf(st.cycles != first.cycles,
+                    "thread count changed simulated cycles");
+        }
     }
-    for (int i = 0; i < reps; ++i) {
-        Timer t;
-        const KernelStats st = sim.run(launch, opt);
-        const double ms = t.elapsedMs();
-        if (i == 0 || ms < optimized_ms)
-            optimized_ms = ms;
-        out.metrics["optimized_trace_bytes_peak"] =
-            static_cast<double>(st.traceBytesPeak);
-        panicIf(st.cycles != cycles,
-                "optimized config changed simulated cycles");
-    }
-    out.metrics["baseline_ms"] = baseline_ms;
-    out.metrics["optimized_ms"] = optimized_ms;
-    out.metrics["speedup"] =
-        optimized_ms > 0.0 ? baseline_ms / optimized_ms : 0.0;
+    out.metrics["cycles"] = static_cast<double>(first.cycles);
+    out.metrics["warp_instrs"] = static_cast<double>(first.warpInstrs);
+    out.metrics["trace_bytes_peak"] =
+        static_cast<double>(first.traceBytesPeak);
+    out.metrics["one_thread_ms"] = best_ms[0];
+    out.metrics["threaded_ms"] = best_ms[1];
+    const double speedup =
+        best_ms[1] > 0.0 ? best_ms[0] / best_ms[1] : 0.0;
+    out.metrics["thread_speedup"] = speedup;
+    out.metrics["thread_eff"] = speedup / threads;
 }
 
 } // namespace
@@ -157,28 +136,29 @@ main(int argc, char **argv)
         static_cast<int>(opts.getInt("threads", 0));
     const int chunk = static_cast<int>(opts.getInt("chunk", 256));
     const bool quick = opts.getBool("quick", false);
+    opts.rejectUnread();
 
     const int64_t n = quick ? 1200 : 4000;
     const int64_t feat = quick ? 32 : 64;
     const int64_t max_ctas = quick ? 256 : 1024;
     // Min-of-N wall-clock; a single rep is too noisy even for smoke
-    // runs (first-touch page faults land on the baseline).
+    // runs (first-touch page faults land on the first config).
     const int reps = quick ? 2 : 3;
 
     const GpuConfig cfg = GpuConfig::v100Sim();
+    // GpuSimulator::resolveThreads, made explicit for the report.
     const int resolved_threads =
-        threads > 0 ? threads
-                    : std::min(ThreadPool::defaultLanes(),
-                               cfg.numSms);
+        std::clamp(threads > 0 ? threads : ThreadPool::defaultLanes(),
+                   1, cfg.numSms);
 
-    bench::banner(
-        "simulator throughput",
-        "baseline: 1 thread, eager-size chunks | optimized: " +
-            std::to_string(resolved_threads) + " thread(s), " +
-            std::to_string(chunk) + "-instr chunks");
+    bench::banner("simulator throughput",
+                  "default config, " + std::to_string(chunk) +
+                      "-instr chunks: 1 thread vs " +
+                      std::to_string(resolved_threads) +
+                      " thread(s)");
 
     // One point per kernel archetype; each point measures the
-    // baseline-vs-optimized pair. Serial session: this is a timing
+    // 1-thread-vs-N-thread pair. Serial session: this is a timing
     // bench, concurrent points would skew each other's wall-clock.
     const SweepSpec spec =
         SweepSpec{}
@@ -201,7 +181,7 @@ main(int argc, char **argv)
                 SpmmKernel k("spmm", a, b, c);
                 k.execute();
                 measure(out, k.makeLaunch(alloc), cfg, max_ctas,
-                        threads, chunk, reps);
+                        resolved_threads, chunk, reps);
             } else if (pt.variant == "SGEMM") {
                 // Dense compute archetype.
                 const DenseMatrix a = randomMatrix(n / 2, 256, 13);
@@ -210,7 +190,7 @@ main(int argc, char **argv)
                 SgemmKernel k("sgemm", a, b, c);
                 k.execute();
                 measure(out, k.makeLaunch(alloc), cfg, max_ctas,
-                        threads, chunk, reps);
+                        resolved_threads, chunk, reps);
             } else if (pt.variant == "SGEMM-dense") {
                 // Deep-K dense GEMM: long FMA chains over shared-
                 // memory tiles keep every scheduler issue-bound —
@@ -222,7 +202,7 @@ main(int argc, char **argv)
                 SgemmKernel k("sgemm_dense", a, b, c);
                 k.execute();
                 measure(out, k.makeLaunch(alloc), cfg, max_ctas,
-                        threads, chunk, reps);
+                        resolved_threads, chunk, reps);
             } else {
                 // Atomic contention archetype.
                 const int64_t e = n * 4;
@@ -237,26 +217,24 @@ main(int argc, char **argv)
                                 ScatterKernel::Reduce::Sum);
                 k.execute();
                 measure(out, k.makeLaunch(alloc), cfg, max_ctas,
-                        threads, chunk, reps);
+                        resolved_threads, chunk, reps);
             }
             return out;
         });
 
+    const std::string n_thr = std::to_string(resolved_threads);
     TablePrinter table("simulator throughput");
-    table.header({"kernel", "base ms", "opt ms", "speedup",
-                  "base trace KiB", "opt trace KiB"});
+    table.header({"kernel", "1-thr ms", n_thr + "-thr ms", "speedup",
+                  "efficiency", "trace KiB"});
     for (const auto &r : store) {
         if (!r.ok)
             continue;
         const auto &m = r.outcome.metrics;
-        table.row(
-            {r.point.variant, fmtDouble(m.at("baseline_ms"), 2),
-             fmtDouble(m.at("optimized_ms"), 2),
-             fmtDouble(m.at("speedup"), 2),
-             fmtDouble(m.at("baseline_trace_bytes_peak") / 1024.0,
-                       1),
-             fmtDouble(m.at("optimized_trace_bytes_peak") / 1024.0,
-                       1)});
+        table.row({r.point.variant, fmtDouble(m.at("one_thread_ms"), 2),
+                   fmtDouble(m.at("threaded_ms"), 2),
+                   fmtDouble(m.at("thread_speedup"), 2),
+                   fmtDouble(m.at("thread_eff"), 2),
+                   fmtDouble(m.at("trace_bytes_peak") / 1024.0, 1)});
     }
     table.print();
 

@@ -38,8 +38,9 @@ main(int argc, char **argv)
 {
     OptionSet opts;
     opts.parseArgs(argc, argv);
-    const Graph g = loadDataset(
-        opts.getString("dataset", "cora"), DatasetScale::full(), 7);
+    const std::string dataset = opts.getString("dataset", "cora");
+    opts.rejectUnread();
+    const Graph g = loadDataset(dataset, DatasetScale::full(), 7);
     std::printf("loaded %s\n", g.summary().c_str());
 
     const int64_t f = g.featureLen();

@@ -28,6 +28,7 @@ main(int argc, char **argv)
     const int layers = static_cast<int>(opts.getInt("layers", 2));
     const uint64_t seed =
         static_cast<uint64_t>(opts.getInt("seed", 7));
+    opts.rejectUnread();
 
     // 1. Load a dataset (synthetic, matched to Table IV statistics).
     const Graph graph =

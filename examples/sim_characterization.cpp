@@ -31,6 +31,7 @@ main(int argc, char **argv)
     cfg.model = gnnModelFromName(opts.getString("model", "gcn"));
     cfg.comp = compModelFromName(opts.getString("comp", "mp"));
     cfg.layers = static_cast<int>(opts.getInt("layers", 2));
+    opts.rejectUnread();
 
     const Graph graph = loadDataset(
         dataset, defaultSimScale(datasetInfoByName(dataset).id), 7);

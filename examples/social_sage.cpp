@@ -33,6 +33,9 @@ main(int argc, char **argv)
 
     DatasetScale scale = defaultFunctionalScale(DatasetId::Reddit);
     scale.edgeDivisor = opts.getInt("edge-div", scale.edgeDivisor);
+    const int layers = static_cast<int>(opts.getInt("layers", 2));
+    const std::string export_path = opts.getString("export", "");
+    opts.rejectUnread();
     const Graph graph = loadDataset(DatasetId::Reddit, scale, 7);
     std::printf("loaded %s (scale %s)\n", graph.summary().c_str(),
                 scale.describe().c_str());
@@ -58,7 +61,7 @@ main(int argc, char **argv)
     ModelConfig cfg;
     cfg.model = GnnModelKind::Sage;
     cfg.comp = CompModel::Mp;
-    cfg.layers = static_cast<int>(opts.getInt("layers", 2));
+    cfg.layers = layers;
     cfg.hidden = 32;
     cfg.outDim = 16;
 
@@ -78,10 +81,9 @@ main(int argc, char **argv)
                 (long)pipeline.output().rows(),
                 (long)pipeline.output().cols());
 
-    if (opts.has("export")) {
-        const std::string path = opts.getString("export");
-        saveEdgeList(graph, path);
-        std::printf("exported edge list to %s\n", path.c_str());
+    if (!export_path.empty()) {
+        saveEdgeList(graph, export_path);
+        std::printf("exported edge list to %s\n", export_path.c_str());
     }
     return 0;
 }

@@ -26,9 +26,7 @@ main(int argc, char **argv)
     OptionSet opts;
     opts.parseArgs(argc, argv);
     const std::string dataset = opts.getString("dataset", "cora");
-    const Graph g = loadDataset(
-        dataset, defaultSimScale(datasetInfoByName(dataset).id), 7);
-    std::printf("loaded %s\n", g.summary().c_str());
+    const bool on_sim = opts.getBool("sim", false);
 
     TrainConfig cfg;
     cfg.model = gnnModelFromName(opts.getString("model", "gcn"));
@@ -36,6 +34,11 @@ main(int argc, char **argv)
     cfg.lr = static_cast<float>(opts.getDouble("lr", 2.0));
     cfg.classes = static_cast<int>(opts.getInt("classes", 4));
     cfg.hidden = static_cast<int>(opts.getInt("hidden", 16));
+    opts.rejectUnread();
+
+    const Graph g = loadDataset(
+        dataset, defaultSimScale(datasetInfoByName(dataset).id), 7);
+    std::printf("loaded %s\n", g.summary().c_str());
 
     GnnTrainer trainer(g, cfg);
     std::printf("per-epoch pipeline: %zu kernels "
@@ -57,7 +60,7 @@ main(int argc, char **argv)
                fmtDouble(history.back().kernelUs / 1e3, 2)});
     curve.print();
 
-    if (opts.getBool("sim", false)) {
+    if (on_sim) {
         std::printf("\ncharacterizing one epoch on the simulator "
                     "...\n");
         SimEngine::Options sopts;

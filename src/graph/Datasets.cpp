@@ -5,6 +5,7 @@
 
 #include "graph/Generators.hpp"
 #include "util/Logging.hpp"
+#include "util/RunError.hpp"
 #include "util/StringUtils.hpp"
 
 namespace gsuite {
@@ -125,44 +126,51 @@ isRmatDataset(const std::string &dataset)
     return startsWith(dataset, "rmat:");
 }
 
+/** A malformed rmat spec fails the point that names it. */
+[[noreturn]] static void
+rmatError(const std::string &msg)
+{
+    throw RunException(RunError::Config, msg);
+}
+
 RmatSpec
 parseRmatSpec(const std::string &dataset)
 {
     if (!isRmatDataset(dataset))
-        fatal("not an rmat dataset spec: '%s'", dataset.c_str());
+        rmatError("not an rmat dataset spec: '" + dataset + "'");
     RmatSpec spec;
     for (const std::string &part : split(dataset.substr(5), ',')) {
         const size_t eq = part.find('=');
         if (eq == std::string::npos || eq == 0)
-            fatal("rmat spec expects key=value parts "
-                  "(rmat:scale=S,ef=E,seed=K[,flen=F]), got '%s'",
-                  part.c_str());
+            rmatError("rmat spec expects key=value parts "
+                      "(rmat:scale=S,ef=E,seed=K[,flen=F]), got '" +
+                      part + "'");
         const std::string key = toLower(trim(part.substr(0, eq)));
         int64_t value;
         if (!parseInt(trim(part.substr(eq + 1)), value))
-            fatal("rmat spec key '%s' expects an integer, got '%s'",
-                  key.c_str(), part.substr(eq + 1).c_str());
+            rmatError("rmat spec key '" + key +
+                      "' expects an integer, got '" +
+                      part.substr(eq + 1) + "'");
         if (key == "scale") {
             if (value < 4 || value > 30)
-                fatal("rmat scale must be in [4, 30], got %lld",
-                      static_cast<long long>(value));
+                rmatError("rmat scale must be in [4, 30], got " +
+                          std::to_string(value));
             spec.scale = static_cast<int>(value);
         } else if (key == "ef") {
             if (value < 1)
-                fatal("rmat ef (edge factor) must be >= 1");
+                rmatError("rmat ef (edge factor) must be >= 1");
             spec.edgeFactor = value;
         } else if (key == "seed") {
             if (value < 0)
-                fatal("rmat seed must be >= 0");
+                rmatError("rmat seed must be >= 0");
             spec.seed = static_cast<uint64_t>(value);
         } else if (key == "flen") {
             if (value < 1)
-                fatal("rmat flen must be >= 1");
+                rmatError("rmat flen must be >= 1");
             spec.featureLen = value;
         } else {
-            fatal("unknown rmat spec key '%s' (known: scale, ef, "
-                  "seed, flen)",
-                  key.c_str());
+            rmatError("unknown rmat spec key '" + key +
+                      "' (known: scale, ef, seed, flen)");
         }
     }
     return spec;

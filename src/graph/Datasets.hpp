@@ -83,7 +83,10 @@ struct RmatSpec {
 /** True if @p dataset is an "rmat:..." spec. */
 bool isRmatDataset(const std::string &dataset);
 
-/** Parse an "rmat:..." spec; fatal() on malformed input. */
+/**
+ * Parse an "rmat:..." spec; throws RunException(RunError::Config) on
+ * malformed input, so one bad sweep point fails alone.
+ */
 RmatSpec parseRmatSpec(const std::string &dataset);
 
 /** Generate the spec'd graph (scale divisors apply on top). */

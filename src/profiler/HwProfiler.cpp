@@ -31,7 +31,7 @@ HwProfiler::HwProfiler(HwProfilerConfig cfg) : cfg(cfg)
 HwProfileResult
 HwProfiler::profile(const KernelLaunch &launch)
 {
-    panicIf(!launch.hasTraceGen(), "profiling a launch without traces");
+    panicIf(!launch.streamTrace, "profiling a launch without traces");
 
     const int64_t expected =
         (launch.dims.numCtas +
@@ -79,7 +79,7 @@ HwProfiler::profile(const KernelLaunch &launch)
             for (int w = 0; w < warps; ++w) {
                 // Stream the warp's trace in bounded chunks; the
                 // replay only needs one chunk resident at a time.
-                WarpTraceStream stream = launch.makeStream(cta, w);
+                WarpTraceStream stream = launch.streamTrace(cta, w);
                 uint8_t reg_cursor = 0;
                 bool stream_done = false;
                 while (!stream_done) {

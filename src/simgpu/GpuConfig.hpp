@@ -135,12 +135,12 @@ struct GpuConfig {
     SchedulerPolicy scheduler = SchedulerPolicy::Gto;
 
     /**
-     * Debug/ablation: use the pre-SoA per-warp issue path (classify
+     * Test oracle: use the pre-SoA per-warp issue path (classify
      * every resident warp every cycle) instead of the cached SoA
      * fast path. Both paths produce bit-identical statistics except
-     * the classifyEvals diagnostic; the reference path is kept for
-     * A/B regression tests and as the honest baseline in
-     * bench_sim_throughput.
+     * the classifyEvals diagnostic; the determinism and fuzz suites
+     * set this field directly to check the fast path against it. No
+     * hwdb key or CLI flag reaches it.
      */
     bool referenceIssue = false;
 

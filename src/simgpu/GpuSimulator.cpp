@@ -147,7 +147,7 @@ GpuSimulator::controlPhase(RunControl &ctl)
 KernelStats
 GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
 {
-    panicIf(!launch.hasTraceGen(),
+    panicIf(!launch.streamTrace,
             "KernelLaunch without a trace generator");
     panicIf(launch.dims.numCtas <= 0 || launch.dims.threadsPerCta <= 0,
             "KernelLaunch with empty grid");

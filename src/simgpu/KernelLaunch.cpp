@@ -4,31 +4,13 @@
 
 namespace gsuite {
 
-WarpTraceStream
-KernelLaunch::makeStream(int64_t cta, int warp) const
-{
-    if (streamTrace)
-        return streamTrace(cta, warp);
-    panicIf(!genTrace, "KernelLaunch without a trace generator");
-    // Eager adapter: the whole trace arrives as one chunk. The
-    // builder's budget is ignored, so legacy launches keep their
-    // O(full trace) footprint — fine for tests and tiny kernels.
-    return [gen = genTrace, cta, warp](TraceBuilder &tb) {
-        gen(cta, warp, tb.buffer());
-        return true;
-    };
-}
-
 void
 KernelLaunch::buildFullTrace(int64_t cta, int warp,
                              WarpTrace &out) const
 {
     out.clear();
-    if (genTrace) {
-        genTrace(cta, warp, out);
-        return;
-    }
-    WarpTraceStream stream = makeStream(cta, warp);
+    panicIf(!streamTrace, "KernelLaunch without a trace generator");
+    WarpTraceStream stream = streamTrace(cta, warp);
     uint8_t cursor = 0;
     // An effectively-unbounded budget drains the stream in one call
     // per chunk; loop in case a generator still chooses to suspend.

@@ -160,7 +160,7 @@ Sm::assignCta(int64_t cta_id, uint64_t cycle)
         // on this SM's owning worker — assignment stays cheap and
         // trace generation runs in parallel across SMs.
         w.chunk.clear();
-        w.stream = launch->makeStream(cta_id, wi);
+        w.stream = launch->streamTrace(cta_id, wi);
         w.streamDone = false;
         w.regCursor = 0;
         w.pc = 0;

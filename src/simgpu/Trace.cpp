@@ -4,22 +4,17 @@
 
 namespace gsuite {
 
-TraceBuilder::TraceBuilder(WarpTrace &trace)
-    : trace(trace), budget(~size_t{0}), cursor(&ownCursor)
-{
-}
-
 TraceBuilder::TraceBuilder(WarpTrace &trace, size_t instr_budget,
                            uint8_t &reg_cursor)
-    : trace(trace), budget(instr_budget), cursor(&reg_cursor)
+    : trace(trace), budget(instr_budget), cursor(reg_cursor)
 {
 }
 
 Reg
 TraceBuilder::allocReg()
 {
-    const Reg r = *cursor;
-    *cursor = static_cast<uint8_t>((*cursor + 1) % kNumWarpRegs);
+    const Reg r = cursor;
+    cursor = static_cast<uint8_t>((cursor + 1) % kNumWarpRegs);
     return r;
 }
 

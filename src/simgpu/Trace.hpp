@@ -65,19 +65,16 @@ struct WarpTrace {
  * false dependencies are negligible, mirroring a compiler that has
  * plenty of architectural registers.
  *
- * A builder can be *budgeted* (streaming mode): full() turns true once
- * the chunk holds at least the budgeted instruction count, and the
- * register-rotation cursor lives outside the builder so it survives
- * across the chunks of one warp. Emitting past the budget is allowed
- * (the budget is a soft watermark); generators should simply check
- * full() between logical instruction groups.
+ * Every builder is budgeted: full() turns true once the chunk holds
+ * at least the budgeted instruction count, and the register-rotation
+ * cursor lives outside the builder so it survives across the chunks
+ * of one warp. Emitting past the budget is allowed (the budget is a
+ * soft watermark); generators should simply check full() between
+ * logical instruction groups.
  */
 class TraceBuilder
 {
   public:
-    /** Unbounded builder with its own register cursor (eager mode). */
-    explicit TraceBuilder(WarpTrace &trace);
-
     /**
      * Budgeted builder for one chunk of a streamed trace.
      *
@@ -95,9 +92,6 @@ class TraceBuilder
     {
         return trace.instrs.size() >= budget;
     }
-
-    /** The chunk being built (for eager-generator adapters). */
-    WarpTrace &buffer() { return trace; }
 
     /** Emit an ALU op; returns the destination register. */
     Reg alu(Op op, Reg a = kNoReg, Reg b = kNoReg,
@@ -136,8 +130,7 @@ class TraceBuilder
   private:
     WarpTrace &trace;
     size_t budget;
-    uint8_t ownCursor = 0;
-    uint8_t *cursor;
+    uint8_t &cursor;
 
     Reg allocReg();
     uint32_t pushAddrs(std::span<const uint64_t> lane_addrs,

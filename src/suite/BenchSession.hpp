@@ -1,12 +1,12 @@
 /**
  * @file
  * BenchSession executes a SweepSpec: every expanded point runs
- * through a point runner (the default one reproduces the classic
- * BenchmarkRunner load-build-run-aggregate path), optionally
+ * through a point runner (the default one, runPoint, loads the
+ * dataset, builds the engine, runs and aggregates), optionally
  * concurrently on a util/ThreadPool, with deterministic
  * index-ordered collection into a ResultStore and per-point failure
  * isolation — one throwing point reports its error; the sweep
- * continues.
+ * continues. A one-point sweep is how a single configuration runs.
  *
  * Threading-budget composition: with L concurrent sweep lanes and a
  * total worker budget B (default: max(L, host lanes)), every point

@@ -1,8 +1,6 @@
 #include "suite/Runner.hpp"
 
 #include "graph/EdgeListIo.hpp"
-#include "suite/BenchSession.hpp"
-#include "util/Logging.hpp"
 
 namespace gsuite {
 
@@ -63,24 +61,6 @@ loadDatasetFor(const UserParams &params)
                                params.resolveScale());
     return loadDataset(params.dataset, params.resolveScale(),
                        params.seed);
-}
-
-BenchmarkRunner::BenchmarkRunner(UserParams params)
-    : params(std::move(params))
-{
-}
-
-RunOutcome
-BenchmarkRunner::run()
-{
-    // Thin compatibility wrapper: one-point sweep, serial session.
-    BenchSession session;
-    const ResultStore store =
-        session.run(SweepSpec{}.base(params));
-    const SweepResult &result = store.at(0);
-    if (!result.ok)
-        fatal("benchmark run failed: %s", result.error.c_str());
-    return result.outcome;
 }
 
 std::map<KernelClass, double>

@@ -1,9 +1,10 @@
 /**
  * @file
- * The benchmark runner — Fig. 1's Abstraction Module plus Data
- * Loader: resolves framework/model/dataset decisions, loads data,
- * builds the engine, runs the pipeline the configured number of
- * times, and aggregates results.
+ * Fig. 1's Abstraction Module plus Data Loader: resolves
+ * framework/model/dataset decisions, loads data and builds the
+ * engine; RunOutcome is the aggregated result of one configuration.
+ * Running a point (load, build, run, aggregate) is
+ * BenchSession::runPoint.
  */
 
 #ifndef GSUITE_SUITE_RUNNER_HPP
@@ -91,19 +92,6 @@ class AbstractionModule
 
 /** Loads a dataset per the params (Fig. 1's Data Loader). */
 Graph loadDatasetFor(const UserParams &params);
-
-/** End-to-end benchmark runner. */
-class BenchmarkRunner
-{
-  public:
-    explicit BenchmarkRunner(UserParams params);
-
-    /** Load, build, run `params.runs` times, aggregate. */
-    RunOutcome run();
-
-  private:
-    UserParams params;
-};
 
 /** Wall-clock microseconds per kernel class over a timeline. */
 std::map<KernelClass, double>

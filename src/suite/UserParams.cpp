@@ -1,13 +1,12 @@
 #include "suite/UserParams.hpp"
 
 #include <cstdio>
-#include <set>
-
 #include <cstdlib>
 
 #include "frameworks/FrameworkAdapter.hpp"
 #include "hwdb/HwPresets.hpp"
 #include "util/Logging.hpp"
+#include "util/RunError.hpp"
 #include "util/StringUtils.hpp"
 
 namespace gsuite {
@@ -89,22 +88,6 @@ applyCtaSampleSpec(GpuConfig &cfg, const std::string &spec)
 UserParams
 UserParams::fromOptions(const OptionSet &opts)
 {
-    static const std::set<std::string> known = {
-        "config",     "dataset",   "model",       "comp",
-        "framework",  "engine",    "layers",      "hidden",
-        "outdim",     "gineps",    "runs",        "seed",
-        "batch",      "mem-plan",
-        "profile-caches", "node-div", "edge-div", "feature-cap",
-        "csv",        "verbose",   "quiet",       "trace",
-        "sim-threads", "sim-parallel", "sweep-threads",
-        "max-ctas",   "cycle-ceiling", "scheduler", "l1-bypass",
-        "gpu",        "list-gpus",  "sample",
-    };
-    for (const auto &key : opts.keys()) {
-        if (known.find(key) == known.end())
-            fatal("unknown option '--%s'", key.c_str());
-    }
-
     if (opts.getBool("list-gpus", false))
         listHwPresetsAndExit();
 
@@ -125,8 +108,13 @@ UserParams::fromOptions(const OptionSet &opts)
                 normalized += part;
             } else if (isRmatDataset(part)) {
                 // Validate and canonicalize so sweep labels and
-                // graph-cache keys are stable.
-                normalized += parseRmatSpec(part).canonical();
+                // graph-cache keys are stable. A bad spec ends this
+                // CLI cleanly rather than as an uncaught exception.
+                try {
+                    normalized += parseRmatSpec(part).canonical();
+                } catch (const RunException &e) {
+                    fatal("--dataset: %s", e.what());
+                }
             } else {
                 const std::string name = toLower(trim(part));
                 datasetInfoByName(name); // validate early
@@ -222,9 +210,10 @@ UserParams::fromArgs(int argc, const char *const *argv)
     if (cli.has("config"))
         merged.loadFile(cli.getString("config"));
     merged.parseArgs(argc, argv);
-    if (cli.has("config"))
-        merged.set("config", cli.getString("config"));
-    return fromOptions(merged);
+    merged.has("config"); // loaded above: mark it read
+    const UserParams p = fromOptions(merged);
+    merged.rejectUnread();
+    return p;
 }
 
 DatasetScale

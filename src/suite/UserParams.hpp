@@ -174,15 +174,17 @@ struct UserParams {
     std::string tracePath;
 
     /**
-     * Build params from an option set (config file + CLI merged).
-     * Unknown keys are rejected with fatal() so typos surface.
+     * Build params from an option set (config file + CLI merged),
+     * reading every key the suite's interface honours; fatal() on
+     * invalid values.
      */
     static UserParams fromOptions(const OptionSet &opts);
 
     /**
      * Parse argv. "--config FILE" is loaded first (defaults), then
      * the remaining options override it, exactly as the paper's
-     * interface behaves.
+     * interface behaves. Keys fromOptions() does not read are
+     * rejected with fatal() so typos surface.
      */
     static UserParams fromArgs(int argc, const char *const *argv);
 

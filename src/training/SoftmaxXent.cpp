@@ -81,49 +81,52 @@ SoftmaxXentKernel::makeLaunch(DeviceAllocator &alloc) const
     launch.dims.numCtas = ceilDiv(n, kCtaThreads);
     launch.dims.threadsPerCta = kCtaThreads;
 
-    launch.genTrace = [=](int64_t cta, int warp, WarpTrace &out) {
-        TraceBuilder b(out);
-        const int64_t t0 =
-            (cta * kCtaWarps + warp) * static_cast<int64_t>(32);
-        const int lanes =
-            static_cast<int>(std::clamp<int64_t>(n - t0, 0, 32));
-        if (lanes == 0) {
+    // One-shot stream: the whole warp is emitted in a single chunk.
+    launch.streamTrace = [=](int64_t cta, int warp) {
+        return WarpTraceStream([=](TraceBuilder &b) {
+            const int64_t t0 =
+                (cta * kCtaWarps + warp) * static_cast<int64_t>(32);
+            const int lanes =
+                static_cast<int>(std::clamp<int64_t>(n - t0, 0, 32));
+            if (lanes == 0) {
+                b.exit();
+                return true;
+            }
+            const uint32_t mask = maskOfLanes(lanes);
+            std::array<uint64_t, 32> a{};
+
+            // One thread per node (row). Label load is coalesced.
+            b.aluChain(Op::INT, 2, mask);
+            for (int l = 0; l < lanes; ++l)
+                a[static_cast<size_t>(l)] =
+                    lbl_base + static_cast<uint64_t>(t0 + l) * 8;
+            b.load({a.data(), static_cast<size_t>(lanes)});
+
+            // Pass 1: max + exp-sum over classes (strided row loads).
+            Reg acc = b.alu(Op::FP32, kNoReg, kNoReg, mask);
+            for (int64_t j = 0; j < c; ++j) {
+                for (int l = 0; l < lanes; ++l)
+                    a[static_cast<size_t>(l)] =
+                        in_base +
+                        static_cast<uint64_t>((t0 + l) * c + j) * 4;
+                const Reg rv =
+                    b.load({a.data(), static_cast<size_t>(lanes)});
+                const Reg re = b.alu(Op::SFU, rv, kNoReg, mask);
+                acc = b.alu(Op::FP32, acc, re, mask);
+            }
+            b.control(mask);
+            // Pass 2: normalized gradient store per class.
+            for (int64_t j = 0; j < c; ++j) {
+                const Reg g = b.alu(Op::FP32, acc, kNoReg, mask);
+                for (int l = 0; l < lanes; ++l)
+                    a[static_cast<size_t>(l)] =
+                        out_base +
+                        static_cast<uint64_t>((t0 + l) * c + j) * 4;
+                b.store({a.data(), static_cast<size_t>(lanes)}, g);
+            }
             b.exit();
-            return;
-        }
-        const uint32_t mask = maskOfLanes(lanes);
-        std::array<uint64_t, 32> a{};
-
-        // One thread per node (row). Label load is coalesced.
-        b.aluChain(Op::INT, 2, mask);
-        for (int l = 0; l < lanes; ++l)
-            a[static_cast<size_t>(l)] =
-                lbl_base + static_cast<uint64_t>(t0 + l) * 8;
-        b.load({a.data(), static_cast<size_t>(lanes)});
-
-        // Pass 1: max + exp-sum over classes (strided row loads).
-        Reg acc = b.alu(Op::FP32, kNoReg, kNoReg, mask);
-        for (int64_t j = 0; j < c; ++j) {
-            for (int l = 0; l < lanes; ++l)
-                a[static_cast<size_t>(l)] =
-                    in_base +
-                    static_cast<uint64_t>((t0 + l) * c + j) * 4;
-            const Reg rv =
-                b.load({a.data(), static_cast<size_t>(lanes)});
-            const Reg re = b.alu(Op::SFU, rv, kNoReg, mask);
-            acc = b.alu(Op::FP32, acc, re, mask);
-        }
-        b.control(mask);
-        // Pass 2: normalized gradient store per class.
-        for (int64_t j = 0; j < c; ++j) {
-            const Reg g = b.alu(Op::FP32, acc, kNoReg, mask);
-            for (int l = 0; l < lanes; ++l)
-                a[static_cast<size_t>(l)] =
-                    out_base +
-                    static_cast<uint64_t>((t0 + l) * c + j) * 4;
-            b.store({a.data(), static_cast<size_t>(lanes)}, g);
-        }
-        b.exit();
+            return true;
+        });
     };
     return launch;
 }

@@ -19,12 +19,14 @@ OptionSet::set(const std::string &key, const std::string &value)
 bool
 OptionSet::has(const std::string &key) const
 {
+    readKeys.insert(key);
     return values.find(key) != values.end();
 }
 
 std::string
 OptionSet::getString(const std::string &key) const
 {
+    readKeys.insert(key);
     auto it = values.find(key);
     if (it == values.end())
         fatal("missing required option '%s'", key.c_str());
@@ -34,6 +36,7 @@ OptionSet::getString(const std::string &key) const
 std::string
 OptionSet::getString(const std::string &key, const std::string &def) const
 {
+    readKeys.insert(key);
     auto it = values.find(key);
     return it == values.end() ? def : it->second;
 }
@@ -84,9 +87,21 @@ OptionSet::getBool(const std::string &key, bool def) const
 }
 
 std::vector<std::string>
-OptionSet::keys() const
+OptionSet::unreadKeys() const
 {
-    return order;
+    std::vector<std::string> unread;
+    for (const std::string &key : order)
+        if (readKeys.find(key) == readKeys.end())
+            unread.push_back(key);
+    return unread;
+}
+
+void
+OptionSet::rejectUnread() const
+{
+    const std::vector<std::string> unread = unreadKeys();
+    if (!unread.empty())
+        fatal("unknown option '--%s'", unread.front().c_str());
 }
 
 void

@@ -12,13 +12,17 @@
 #define GSUITE_UTIL_OPTIONS_HPP
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 namespace gsuite {
 
 /**
- * An ordered key=value option store with typed accessors.
+ * An ordered key=value option store with typed accessors. Every
+ * lookup marks its key as read, so a CLI can reject the flags it
+ * never consults (unreadKeys(), rejectUnread()). Not thread-safe:
+ * options are parsed and read on one thread, before any work starts.
  *
  * Lookup precedence is last-writer-wins, so loading a config file first
  * and then applying command-line arguments gives CLI overrides, exactly
@@ -53,8 +57,19 @@ class OptionSet
     /** Boolean value with a default; fatal() on malformed value. */
     bool getBool(const std::string &key, bool def) const;
 
-    /** All keys in insertion order (later overwrites keep position). */
-    std::vector<std::string> keys() const;
+    /**
+     * Keys that neither has() nor a getter has looked up yet, in
+     * insertion order (later overwrites keep position). A CLI that
+     * has read every flag it honours uses this to find the ones it
+     * would otherwise ignore.
+     */
+    std::vector<std::string> unreadKeys() const;
+
+    /**
+     * fatal() naming the first unread key as an unknown option. Call
+     * once, after a CLI's last flag read.
+     */
+    void rejectUnread() const;
 
     /**
      * Load key=value lines from a config file. Lines starting with '#'
@@ -73,6 +88,8 @@ class OptionSet
   private:
     std::map<std::string, std::string> values;
     std::vector<std::string> order;
+    /** Keys looked up so far; lookups are logically const. */
+    mutable std::set<std::string> readKeys;
 };
 
 } // namespace gsuite

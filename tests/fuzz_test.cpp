@@ -362,86 +362,88 @@ randomLatencyLaunch(uint64_t seed)
         2 + static_cast<int64_t>(shape_rng.nextBelow(10));
     l.dims.threadsPerCta =
         32 * (1 + static_cast<int>(shape_rng.nextBelow(4)));
-    l.genTrace = [seed](int64_t cta, int warp, WarpTrace &out) {
-        TraceBuilder b(out);
-        Rng cta_rng(seed ^ (0x9e37ull * static_cast<uint64_t>(cta)));
-        Rng warp_rng(seed ^
-                     (0x85ebull * static_cast<uint64_t>(cta * 64 +
-                                                        warp)));
-        const int groups =
-            4 + static_cast<int>(cta_rng.nextBelow(24));
-        std::array<Reg, 4> recent{kNoReg, kNoReg, kNoReg, kNoReg};
-        size_t nrecent = 0;
-        auto dep = [&]() -> Reg {
-            if (nrecent == 0 || warp_rng.nextBool(0.3))
-                return kNoReg;
-            return recent[warp_rng.nextBelow(nrecent)];
-        };
-        auto lanes = [&]() -> uint32_t {
-            return maskOfLanes(
-                1 + static_cast<int>(warp_rng.nextBelow(32)));
-        };
-        std::array<uint64_t, 32> a{};
-        auto fill_addrs = [&](uint64_t base, uint64_t spread) {
-            for (int i = 0; i < 32; ++i)
-                a[static_cast<size_t>(i)] =
-                    base + warp_rng.nextBelow(spread) * 4;
-        };
-        for (int g = 0; g < groups; ++g) {
-            // The group kind comes from the CTA stream so warps
-            // stay barrier-compatible; operands stay per-warp.
-            const uint64_t kind = cta_rng.nextBelow(8);
-            switch (kind) {
-              case 0: { // ALU chain with random dep distance
-                const int len =
-                    1 + static_cast<int>(warp_rng.nextBelow(6));
-                for (int i = 0; i < len; ++i) {
-                    const Reg r =
-                        b.alu(warp_rng.nextBool(0.8) ? Op::FP32
-                                                     : Op::INT,
-                              dep(), dep(), lanes());
-                    recent[nrecent % recent.size()] = r;
-                    nrecent = std::min(nrecent + 1, recent.size());
+    l.streamTrace = [seed](int64_t cta, int warp) {
+        return WarpTraceStream([=](TraceBuilder &b) {
+            Rng cta_rng(seed ^ (0x9e37ull * static_cast<uint64_t>(cta)));
+            Rng warp_rng(seed ^
+                         (0x85ebull * static_cast<uint64_t>(cta * 64 +
+                                                            warp)));
+            const int groups =
+                4 + static_cast<int>(cta_rng.nextBelow(24));
+            std::array<Reg, 4> recent{kNoReg, kNoReg, kNoReg, kNoReg};
+            size_t nrecent = 0;
+            auto dep = [&]() -> Reg {
+                if (nrecent == 0 || warp_rng.nextBool(0.3))
+                    return kNoReg;
+                return recent[warp_rng.nextBelow(nrecent)];
+            };
+            auto lanes = [&]() -> uint32_t {
+                return maskOfLanes(
+                    1 + static_cast<int>(warp_rng.nextBelow(32)));
+            };
+            std::array<uint64_t, 32> a{};
+            auto fill_addrs = [&](uint64_t base, uint64_t spread) {
+                for (int i = 0; i < 32; ++i)
+                    a[static_cast<size_t>(i)] =
+                        base + warp_rng.nextBelow(spread) * 4;
+            };
+            for (int g = 0; g < groups; ++g) {
+                // The group kind comes from the CTA stream so warps
+                // stay barrier-compatible; operands stay per-warp.
+                const uint64_t kind = cta_rng.nextBelow(8);
+                switch (kind) {
+                  case 0: { // ALU chain with random dep distance
+                    const int len =
+                        1 + static_cast<int>(warp_rng.nextBelow(6));
+                    for (int i = 0; i < len; ++i) {
+                        const Reg r =
+                            b.alu(warp_rng.nextBool(0.8) ? Op::FP32
+                                                         : Op::INT,
+                                  dep(), dep(), lanes());
+                        recent[nrecent % recent.size()] = r;
+                        nrecent = std::min(nrecent + 1, recent.size());
+                    }
+                    break;
+                  }
+                  case 1: // SFU (long fixed latency)
+                    b.alu(Op::SFU, dep(), kNoReg, lanes());
+                    break;
+                  case 2: // shared-memory round trip
+                    b.sharedStore(b.sharedLoad(lanes()), lanes());
+                    break;
+                  case 3: { // divergent global load feeding ALU
+                    fill_addrs(0x10000, 4096);
+                    const Reg r = b.load(
+                        {a.data(),
+                         1 + warp_rng.nextBelow(32)});
+                    b.alu(Op::FP32, r, dep(), lanes());
+                    recent[0] = r;
+                    nrecent = std::max<size_t>(nrecent, 1);
+                    break;
+                  }
+                  case 4: // global store
+                    fill_addrs(0x40000, 2048);
+                    b.store({a.data(), 1 + warp_rng.nextBelow(16)},
+                            dep());
+                    break;
+                  case 5: { // contended atomic
+                    fill_addrs(0x80000, 8);
+                    const Reg v = b.alu(Op::FP32, dep());
+                    b.atomic({a.data(), 1 + warp_rng.nextBelow(32)},
+                             v);
+                    break;
+                  }
+                  case 6: // CTA barrier (uniform across the CTA)
+                    b.barrier();
+                    break;
+                  default:
+                    b.control(lanes());
+                    break;
                 }
-                break;
-              }
-              case 1: // SFU (long fixed latency)
-                b.alu(Op::SFU, dep(), kNoReg, lanes());
-                break;
-              case 2: // shared-memory round trip
-                b.sharedStore(b.sharedLoad(lanes()), lanes());
-                break;
-              case 3: { // divergent global load feeding ALU
-                fill_addrs(0x10000, 4096);
-                const Reg r = b.load(
-                    {a.data(),
-                     1 + warp_rng.nextBelow(32)});
-                b.alu(Op::FP32, r, dep(), lanes());
-                recent[0] = r;
-                nrecent = std::max<size_t>(nrecent, 1);
-                break;
-              }
-              case 4: // global store
-                fill_addrs(0x40000, 2048);
-                b.store({a.data(), 1 + warp_rng.nextBelow(16)},
-                        dep());
-                break;
-              case 5: { // contended atomic
-                fill_addrs(0x80000, 8);
-                const Reg v = b.alu(Op::FP32, dep());
-                b.atomic({a.data(), 1 + warp_rng.nextBelow(32)},
-                         v);
-                break;
-              }
-              case 6: // CTA barrier (uniform across the CTA)
-                b.barrier();
-                break;
-              default:
-                b.control(lanes());
-                break;
             }
-        }
-        b.exit();
+            b.exit();
+            return true;
+        });
     };
     return l;
 }
@@ -659,21 +661,22 @@ TEST_P(FuzzSeeds, SampledSimBoundsContainTheFullRun)
         32 * (1 + static_cast<int>(rng.nextBelow(2)));
     const uint64_t body = seed ^ 0xbeefULL;
     const int64_t period = 7 + static_cast<int64_t>(rng.nextBelow(14));
-    l.genTrace = [body, period](int64_t cta, int warp,
-                                WarpTrace &out) {
-        TraceBuilder b(out);
-        Rng wr(body ^ (0x9e37ULL *
-                       static_cast<uint64_t>(cta * 64 + warp)));
-        std::array<uint64_t, 32> a{};
-        for (int i = 0; i < 32; ++i)
-            a[static_cast<size_t>(i)] =
-                0x100000ull + wr.nextBelow(1 << 16) * 32ull;
-        const Reg r = b.load({a.data(), 32});
-        b.alu(Op::FP32, r);
-        // Cost skew: CTAs cycle through `period` work levels.
-        b.aluChain(Op::INT,
-                   2 + static_cast<int>(cta % period) * 3);
-        b.exit();
+    l.streamTrace = [body, period](int64_t cta, int warp) {
+        return WarpTraceStream([=](TraceBuilder &b) {
+            Rng wr(body ^ (0x9e37ULL *
+                           static_cast<uint64_t>(cta * 64 + warp)));
+            std::array<uint64_t, 32> a{};
+            for (int i = 0; i < 32; ++i)
+                a[static_cast<size_t>(i)] =
+                    0x100000ull + wr.nextBelow(1 << 16) * 32ull;
+            const Reg r = b.load({a.data(), 32});
+            b.alu(Op::FP32, r);
+            // Cost skew: CTAs cycle through `period` work levels.
+            b.aluChain(Op::INT,
+                       2 + static_cast<int>(cta % period) * 3);
+            b.exit();
+            return true;
+        });
     };
     l.ctaCostHint = [period](int64_t cta) -> uint64_t {
         return 4 + static_cast<uint64_t>(cta % period) * 3;

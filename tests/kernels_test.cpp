@@ -39,7 +39,7 @@ randomMatrix(int64_t r, int64_t c, uint64_t seed)
 void
 checkTraces(const KernelLaunch &launch, int64_t max_ctas = 64)
 {
-    ASSERT_TRUE(launch.hasTraceGen());
+    ASSERT_TRUE(static_cast<bool>(launch.streamTrace));
     ASSERT_GT(launch.dims.numCtas, 0);
     WarpTrace t;
     const int64_t ctas = std::min(launch.dims.numCtas, max_ctas);

@@ -128,27 +128,29 @@ mixedSyntheticLaunch()
     l.kind = KernelClass::Aux;
     l.dims.numCtas = 24;
     l.dims.threadsPerCta = 128;
-    l.genTrace = [](int64_t cta, int warp, WarpTrace &out) {
-        TraceBuilder b(out);
-        b.aluChain(Op::INT, 3 + warp);
-        std::array<uint64_t, 32> a{};
-        for (int i = 0; i < 32; ++i)
-            a[static_cast<size_t>(i)] =
-                0x10000ull +
-                static_cast<uint64_t>((cta * 7 + warp * 5 + i) % 97) *
-                    256ull;
-        const Reg r = b.load({a.data(), 32});
-        b.alu(Op::FP32, r);
-        b.barrier();
-        b.sharedStore(b.sharedLoad());
-        for (int i = 0; i < 32; ++i)
-            a[static_cast<size_t>(i)] =
-                0x40000ull + static_cast<uint64_t>(cta % 5) * 4;
-        const Reg v = b.alu(Op::FP32);
-        b.atomic({a.data(), 32}, v);
-        b.aluChain(Op::FP32, 4);
-        b.store({a.data(), 8}, v);
-        b.exit();
+    l.streamTrace = [](int64_t cta, int warp) {
+        return WarpTraceStream([=](TraceBuilder &b) {
+            b.aluChain(Op::INT, 3 + warp);
+            std::array<uint64_t, 32> a{};
+            for (int i = 0; i < 32; ++i)
+                a[static_cast<size_t>(i)] =
+                    0x10000ull +
+                    static_cast<uint64_t>((cta * 7 + warp * 5 + i) % 97) *
+                        256ull;
+            const Reg r = b.load({a.data(), 32});
+            b.alu(Op::FP32, r);
+            b.barrier();
+            b.sharedStore(b.sharedLoad());
+            for (int i = 0; i < 32; ++i)
+                a[static_cast<size_t>(i)] =
+                    0x40000ull + static_cast<uint64_t>(cta % 5) * 4;
+            const Reg v = b.alu(Op::FP32);
+            b.atomic({a.data(), 32}, v);
+            b.aluChain(Op::FP32, 4);
+            b.store({a.data(), 8}, v);
+            b.exit();
+            return true;
+        });
     };
     return l;
 }
@@ -452,57 +454,4 @@ TEST(SimDeterminism, FastIssuePathMatchesReferenceOnAllSixKernels)
             }
         }
     }
-}
-
-TEST(SimDeterminism, EagerAndStreamedTracesMatch)
-{
-    // The same logical trace, expressed eagerly and as a resumable
-    // stream, must simulate identically.
-    const int64_t iters = 200;
-    auto body = [](TraceBuilder &b, int64_t i) {
-        std::array<uint64_t, 8> a{};
-        for (int l = 0; l < 8; ++l)
-            a[static_cast<size_t>(l)] =
-                0x20000ull +
-                static_cast<uint64_t>((i * 8 + l) % 513) * 32ull;
-        const Reg r = b.load({a.data(), 8});
-        b.alu(Op::FP32, r);
-        b.control();
-    };
-
-    KernelLaunch eager;
-    eager.name = "eager";
-    eager.dims.numCtas = 4;
-    eager.dims.threadsPerCta = 64;
-    eager.genTrace = [body](int64_t, int, WarpTrace &out) {
-        TraceBuilder b(out);
-        for (int64_t i = 0; i < iters; ++i)
-            body(b, i);
-        b.exit();
-    };
-
-    KernelLaunch streamed = eager;
-    streamed.name = "streamed";
-    streamed.genTrace = nullptr;
-    streamed.streamTrace = [body](int64_t, int) -> WarpTraceStream {
-        int64_t i = 0;
-        return [body, i](TraceBuilder &b) mutable {
-            while (i < iters && !b.full())
-                body(b, i++);
-            if (i < iters)
-                return false;
-            b.exit();
-            return true;
-        };
-    };
-
-    SimOptions opts;
-    opts.traceChunkInstrs = 64;
-    GpuSimulator sim_e(detConfig());
-    GpuSimulator sim_s(detConfig());
-    const KernelStats st_e = sim_e.run(eager, opts);
-    const KernelStats st_s = sim_s.run(streamed, opts);
-    expectStatsEqual(st_e, st_s, /*compare_trace_peak=*/false);
-    // The streamed form must actually cap resident trace memory.
-    EXPECT_LT(st_s.traceBytesPeak, st_e.traceBytesPeak);
 }

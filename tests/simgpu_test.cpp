@@ -33,11 +33,12 @@ uniformLaunch(const char *name, int64_t ctas, int threads,
     l.kind = KernelClass::Aux;
     l.dims.numCtas = ctas;
     l.dims.threadsPerCta = threads;
-    l.genTrace = [body = std::move(body)](int64_t, int,
-                                          WarpTrace &out) {
-        TraceBuilder b(out);
-        body(b);
-        b.exit();
+    l.streamTrace = [body = std::move(body)](int64_t, int) {
+        return WarpTraceStream([=](TraceBuilder &b) {
+            body(b);
+            b.exit();
+            return true;
+        });
     };
     return l;
 }
@@ -77,7 +78,8 @@ TEST(Trace, MaskOfLanes)
 TEST(Trace, BuilderTracksDependencies)
 {
     WarpTrace t;
-    TraceBuilder b(t);
+    uint8_t cursor = 0;
+    TraceBuilder b(t, ~size_t{0}, cursor);
     const Reg r1 = b.alu(Op::INT);
     const Reg r2 = b.alu(Op::FP32, r1);
     b.exit();
@@ -91,7 +93,8 @@ TEST(Trace, BuilderTracksDependencies)
 TEST(Trace, LoadAttachesAddresses)
 {
     WarpTrace t;
-    TraceBuilder b(t);
+    uint8_t cursor = 0;
+    TraceBuilder b(t, ~size_t{0}, cursor);
     const std::array<uint64_t, 3> addrs = {100, 200, 300};
     b.load({addrs.data(), addrs.size()});
     ASSERT_EQ(t.instrs.size(), 1u);
@@ -453,12 +456,14 @@ TEST(Simulator, BarrierShowsSynchronization)
     l.kind = KernelClass::Aux;
     l.dims.numCtas = 1;
     l.dims.threadsPerCta = 64;
-    l.genTrace = [](int64_t, int warp, WarpTrace &out) {
-        TraceBuilder b(out);
-        b.aluChain(Op::INT, warp == 1 ? 200 : 1);
-        b.barrier();
-        b.aluChain(Op::INT, 2);
-        b.exit();
+    l.streamTrace = [](int64_t, int warp) {
+        return WarpTraceStream([=](TraceBuilder &b) {
+            b.aluChain(Op::INT, warp == 1 ? 200 : 1);
+            b.barrier();
+            b.aluChain(Op::INT, 2);
+            b.exit();
+            return true;
+        });
     };
     const KernelStats st = sim.run(l);
     EXPECT_GT(st.stallCycles[static_cast<size_t>(

@@ -13,7 +13,7 @@
 
 #include "frameworks/FrameworkAdapter.hpp"
 #include "graph/Generators.hpp"
-#include "suite/Runner.hpp"
+#include "suite/BenchSession.hpp"
 #include "suite/UserParams.hpp"
 #include "util/Random.hpp"
 
@@ -191,8 +191,7 @@ TEST(RunnerTest, EndToEndFunctionalRun)
     p.dataset = "cora";
     p.runs = 2;
     p.featureCap = 32; // keep CI fast
-    BenchmarkRunner runner(p);
-    const RunOutcome out = runner.run();
+    const RunOutcome out = BenchSession::runPoint(p);
     EXPECT_GT(out.meanEndToEndUs, 0.0);
     EXPECT_GE(out.maxEndToEndUs, out.minEndToEndUs);
     EXPECT_FALSE(out.timeline.empty());
@@ -205,7 +204,7 @@ TEST(RunnerTest, AggregationHelpers)
     p.dataset = "cora";
     p.runs = 1;
     p.featureCap = 32;
-    const RunOutcome out = BenchmarkRunner(p).run();
+    const RunOutcome out = BenchSession::runPoint(p);
     const auto by_class = wallUsByClass(out.timeline);
     EXPECT_TRUE(by_class.count(KernelClass::Sgemm));
     EXPECT_TRUE(by_class.count(KernelClass::IndexSelect));
@@ -225,7 +224,7 @@ TEST(RunnerTest, SimEngineOutcomeHasSimStats)
     p.featureCap = 16;
     p.edgeDivisor = 4;
     p.nodeDivisor = 4;
-    const RunOutcome out = BenchmarkRunner(p).run();
+    const RunOutcome out = BenchSession::runPoint(p);
     const auto sim_by_class = simStatsByClass(out.timeline);
     EXPECT_FALSE(sim_by_class.empty());
     for (const auto &[cls, st] : sim_by_class)

@@ -12,12 +12,14 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
 #include "suite/BenchSession.hpp"
 #include "suite/ResultStore.hpp"
 #include "suite/SweepSpec.hpp"
+#include "util/Csv.hpp"
 
 using namespace gsuite;
 
@@ -290,6 +292,24 @@ TEST(BenchSession, ThrowingPointIsIsolated)
     EXPECT_TRUE(store.at(2).ok);
 }
 
+TEST(BenchSession, MalformedRmatSpecFailsOnlyItsPoint)
+{
+    UserParams p;
+    p.runs = 1;
+    p.featureCap = 8;
+    p.nodeDivisor = 8;
+    p.edgeDivisor = 8;
+    const ResultStore store = BenchSession().run(
+        SweepSpec{}.base(p).datasetNames({"cora", "rmat:scale=-3"}));
+
+    ASSERT_EQ(store.size(), 2u);
+    EXPECT_TRUE(store.at(0).ok) << store.at(0).error;
+    EXPECT_FALSE(store.at(1).ok);
+    EXPECT_EQ(store.at(1).errorKind, RunError::Config);
+    EXPECT_NE(store.at(1).error.find("rmat scale"), std::string::npos)
+        << store.at(1).error;
+}
+
 TEST(BenchSession, ProgressReportsEveryPoint)
 {
     std::atomic<size_t> calls{0};
@@ -408,8 +428,48 @@ TEST(ResultStore, EmittersWriteCsvAndJson)
     EXPECT_NE(table.find("ok"), std::string::npos);
 }
 
-TEST(Runner, BenchmarkRunnerMatchesSessionSinglePoint)
+TEST(ResultStore, CustomRowCsvWritesRowsPerPoint)
 {
+    UserParams p;
+    p.runs = 1;
+    p.featureCap = 16;
+    p.nodeDivisor = 4;
+    p.edgeDivisor = 4;
+    const ResultStore store = BenchSession().run(
+        SweepSpec{}.base(p).datasetNames({"cora", "citeseer"}));
+    ASSERT_TRUE(store.allOk());
+
+    // One row per kernel per point, as citation_gcn --csv writes.
+    const std::string path = "/tmp/gsuite_sweep_rows.csv";
+    store.toCsv(path, {"label", "kernel", "class", "wall_us"},
+                [](const SweepResult &r) {
+                    std::vector<std::vector<std::string>> rows;
+                    for (const KernelRecord &rec : r.outcome.timeline)
+                        rows.push_back({r.point.label, rec.name,
+                                        kernelClassName(rec.kind),
+                                        fmtDouble(rec.wallUs, 2)});
+                    return rows;
+                });
+    std::ifstream f(path);
+    std::string line;
+    ASSERT_TRUE(std::getline(f, line));
+    EXPECT_EQ(line, "label,kernel,class,wall_us");
+    std::map<std::string, size_t> rows_per_label;
+    while (std::getline(f, line))
+        ++rows_per_label[line.substr(0, line.find(','))];
+    ASSERT_EQ(rows_per_label.size(), 2u);
+    for (const SweepResult &r : store) {
+        EXPECT_FALSE(r.outcome.timeline.empty());
+        EXPECT_EQ(rows_per_label[r.point.label],
+                  r.outcome.timeline.size());
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Runner, OnePointSessionMatchesRunPoint)
+{
+    // A single-dataset CLI run is a one-point sweep; it must equal
+    // the direct single-point runner.
     UserParams p;
     p.dataset = "cora";
     p.engine = EngineKind::Sim;
@@ -419,7 +479,10 @@ TEST(Runner, BenchmarkRunnerMatchesSessionSinglePoint)
     p.edgeDivisor = 8;
     p.maxCtas = 64;
 
-    const RunOutcome a = BenchmarkRunner(p).run();
+    const ResultStore store = BenchSession().run(SweepSpec{}.base(p));
+    ASSERT_EQ(store.size(), 1u);
+    ASSERT_TRUE(store.at(0).ok) << store.at(0).error;
+    const RunOutcome &a = store.at(0).outcome;
     const RunOutcome b = BenchSession::runPoint(p);
     ASSERT_EQ(a.timeline.size(), b.timeline.size());
     for (size_t i = 0; i < a.timeline.size(); ++i) {

@@ -203,8 +203,32 @@ TEST(Options, LaterValuesOverride)
     OptionSet o;
     o.set("k", "1");
     o.set("k", "2");
+    EXPECT_EQ(o.unreadKeys().size(), 1u);
     EXPECT_EQ(o.getInt("k", 0), 2);
-    EXPECT_EQ(o.keys().size(), 1u);
+}
+
+TEST(Options, TracksWhichKeysWereRead)
+{
+    OptionSet o;
+    o.set("layers", "3");
+    o.set("quick", "true");
+    o.set("bogus", "1");
+    o.set("bogus", "2"); // overwritten: still one unread key
+    o.set("model", "gin");
+    EXPECT_EQ(o.unreadKeys(), (std::vector<std::string>{
+                                  "layers", "quick", "bogus", "model"}));
+
+    EXPECT_EQ(o.getInt("layers", 2), 3);
+    EXPECT_TRUE(o.has("quick"));
+    EXPECT_EQ(o.getString("model"), "gin");
+    EXPECT_FALSE(o.getBool("absent", false)); // absent keys are fine
+    EXPECT_EQ(o.unreadKeys(), std::vector<std::string>{"bogus"});
+    EXPECT_EXIT(o.rejectUnread(), ::testing::ExitedWithCode(1),
+                "unknown option '--bogus'");
+
+    o.getInt("bogus", 0);
+    EXPECT_TRUE(o.unreadKeys().empty());
+    o.rejectUnread(); // everything read: no exit
 }
 
 TEST(Options, ConfigFileRoundTrip)
