@@ -250,23 +250,26 @@ ExecutionEngine::run(const OpGraph &graph)
 
 FunctionalEngine::FunctionalEngine(Options opts) : opts(opts)
 {
+    if (opts.profileCaches)
+        profiler.emplace(opts.hwConfig);
 }
 
 void
 FunctionalEngine::measureKernel(size_t recordIndex, Kernel &kernel,
                                 DeviceAllocator &kernelAlloc)
 {
-    if (!opts.profileCaches)
+    if (!profiler)
         return;
     const KernelLaunch launch = kernel.makeLaunch(kernelAlloc);
-    HwProfiler prof(opts.hwConfig);
-    records[recordIndex].hw = prof.profile(launch);
+    records[recordIndex].hw = profiler->profile(launch);
     records[recordIndex].hasHw = true;
 }
 
 SimEngine::SimEngine(Options opts_in)
     : opts(std::move(opts_in)), sim(opts.gpu)
 {
+    if (opts.profileCaches)
+        profiler.emplace(opts.hwConfig);
 }
 
 int
@@ -294,9 +297,8 @@ SimEngine::measureKernel(size_t recordIndex, Kernel &kernel,
     KernelLaunch launch = kernel.makeLaunch(kernelAlloc);
     KernelRecord &rec = records[recordIndex];
 
-    if (opts.profileCaches) {
-        HwProfiler prof(opts.hwConfig);
-        rec.hw = prof.profile(launch);
+    if (profiler) {
+        rec.hw = profiler->profile(launch);
         rec.hasHw = true;
     }
 

@@ -14,6 +14,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -248,6 +249,8 @@ class FunctionalEngine : public ExecutionEngine
 
   private:
     Options opts;
+    /** Set iff opts.profileCaches; reused by every launch. */
+    std::optional<HwProfiler> profiler;
 };
 
 /** Timing-simulation engine (functional execution + GPGPU-Sim-like). */
@@ -294,6 +297,8 @@ class SimEngine : public ExecutionEngine
 
     Options opts;
     GpuSimulator sim;
+    /** Set iff opts.profileCaches; reused by every launch. */
+    std::optional<HwProfiler> profiler;
     std::vector<PendingSim> pending;
     std::unique_ptr<ThreadPool> simPool;
     std::vector<std::unique_ptr<GpuSimulator>> laneSims;

@@ -51,9 +51,9 @@ FrameworkAdapter::resolveCompModel(GnnModelKind kind,
     panic("unknown Framework");
 }
 
-FrameworkRunResult
-FrameworkAdapter::run(const Graph &graph, ModelConfig cfg,
-                      ExecutionEngine &engine, int batch) const
+PreparedModel
+FrameworkAdapter::prepare(const Graph &graph, ModelConfig cfg,
+                          int batch) const
 {
     if (batch < 1)
         fatal("batch size must be >= 1 (got %d)", batch);
@@ -63,34 +63,35 @@ FrameworkAdapter::run(const Graph &graph, ModelConfig cfg,
     if (fw == Framework::Dgl)
         cfg.allowSpmmSage = true;
 
-    engine.clearTimeline();
-    // A fresh device address space per run: this run's pipeline
-    // allocates new host buffers, and a mapping left by an earlier
-    // run could match one of them wherever the host heap happens to
-    // put it — the device layout, and with it every cache count,
-    // would then depend on the heap.
-    engine.allocator().reset();
-    if (batch == 1) {
-        GnnPipeline pipeline(graph, cfg);
-        pipeline.run(engine);
-    } else {
+    PreparedModel prepared;
+    prepared.replicas.reserve(static_cast<size_t>(batch));
+    for (int b = 0; b < batch; ++b)
+        prepared.replicas.push_back(
+            std::make_unique<GnnPipeline>(graph, cfg));
+    if (batch > 1) {
         // Batched inference: N independent pipeline instances (the
         // shared input graph is read-only, so the merged graph's
         // parts stay write-disjoint) composed into one op-graph
         // whose roots all issue concurrently.
-        std::vector<std::unique_ptr<GnnPipeline>> replicas;
         std::vector<const OpGraph *> graphs;
-        replicas.reserve(static_cast<size_t>(batch));
         graphs.reserve(static_cast<size_t>(batch));
-        for (int b = 0; b < batch; ++b) {
-            replicas.push_back(
-                std::make_unique<GnnPipeline>(graph, cfg));
-            graphs.push_back(&replicas.back()->opGraph());
-        }
-        // run() sync()s before returning, so the replicas may die
-        // when this scope ends.
-        engine.run(OpGraph::merge(graphs));
+        for (const auto &replica : prepared.replicas)
+            graphs.push_back(&replica->opGraph());
+        prepared.merged = OpGraph::merge(graphs);
     }
+    return prepared;
+}
+
+FrameworkRunResult
+FrameworkAdapter::run(const PreparedModel &prepared,
+                      ExecutionEngine &engine) const
+{
+    engine.clearTimeline();
+    // A fresh device address space per run: addresses then depend
+    // only on the order this run maps buffers in, never on where the
+    // host heap put them or on mappings left by an earlier run.
+    engine.allocator().reset();
+    engine.run(prepared.opGraph());
 
     FrameworkRunResult res;
     res.graph = engine.lastGraphReport();

@@ -9,23 +9,18 @@
 
 namespace gsuite {
 
-namespace {
-
-/** L1-side replay state and output of one modeled SM. */
-struct SmReplay {
-    uint64_t l1Hits = 0;
-    uint64_t l1Misses = 0;
-    /**
-     * Addresses this SM forwards to the shared L2, grouped by CTA so
-     * the L2 replay can reconstruct the global (CTA-major) order.
-     */
-    std::vector<std::vector<uint64_t>> l2AddrsByCta;
-};
-
-} // namespace
-
-HwProfiler::HwProfiler(HwProfilerConfig cfg) : cfg(cfg)
+HwProfiler::HwProfiler(HwProfilerConfig cfg_in)
+    : cfg(cfg_in), sms(static_cast<size_t>(cfg.numSms)), l2(cfg.l2)
 {
+    l1.reserve(static_cast<size_t>(cfg.numSms));
+    for (int i = 0; i < cfg.numSms; ++i)
+        l1.emplace_back(cfg.l1);
+    int threads = cfg.numThreads > 0
+                      ? cfg.numThreads
+                      : std::min(ThreadPool::defaultLanes(), cfg.numSms);
+    threads = std::clamp(threads, 1, cfg.numSms);
+    if (threads > 1)
+        pool = std::make_unique<ThreadPool>(threads);
 }
 
 HwProfileResult
@@ -53,29 +48,32 @@ HwProfiler::profile(const KernelLaunch &launch)
     // pseudo-clocks persist across windows.
     const int64_t window_ctas =
         static_cast<int64_t>(num_sms) * 4;
-    std::vector<SmReplay> sms(static_cast<size_t>(num_sms));
-    std::vector<Cache> l1;
-    l1.reserve(static_cast<size_t>(num_sms));
-    for (int i = 0; i < num_sms; ++i)
-        l1.emplace_back(cfg.l1);
-    std::vector<uint64_t> l1Now(static_cast<size_t>(num_sms), 0);
+    for (size_t sm = 0; sm < sms.size(); ++sm) {
+        l1[sm].flush();
+        sms[sm].l1Hits = 0;
+        sms[sm].l1Misses = 0;
+        sms[sm].now = 0;
+    }
+    l2.flush();
 
     int64_t window_begin = 0;
     int64_t window_end = 0;
     auto replaySm = [&](size_t sm_index, int /*lane*/) {
         SmReplay &out = sms[sm_index];
-        out.l2AddrsByCta.clear();
         Cache &myL1 = l1[sm_index];
-        uint64_t &now = l1Now[sm_index];
+        uint64_t &now = out.now;
         WarpTrace trace;
         // Windows start at multiples of numSms, so SM k's first CTA
-        // in the window is window_begin + k.
+        // in the window is window_begin + k. Slot vectors keep their
+        // capacity from window to window.
+        size_t slot = 0;
         for (int64_t cta =
                  window_begin + static_cast<int64_t>(sm_index);
-             cta < window_end; cta += num_sms) {
-            out.l2AddrsByCta.emplace_back();
-            std::vector<uint64_t> &l2_addrs =
-                out.l2AddrsByCta.back();
+             cta < window_end; cta += num_sms, ++slot) {
+            if (out.l2AddrsByCta.size() <= slot)
+                out.l2AddrsByCta.emplace_back();
+            std::vector<uint64_t> &l2_addrs = out.l2AddrsByCta[slot];
+            l2_addrs.clear();
             for (int w = 0; w < warps; ++w) {
                 // Stream the warp's trace in bounded chunks; the
                 // replay only needs one chunk resident at a time.
@@ -135,16 +133,7 @@ HwProfiler::profile(const KernelLaunch &launch)
         }
     };
 
-    int threads = cfg.numThreads > 0
-                      ? cfg.numThreads
-                      : std::min(ThreadPool::defaultLanes(), num_sms);
-    threads = std::clamp(threads, 1, num_sms);
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1)
-        pool = std::make_unique<ThreadPool>(threads);
-
     HwProfileResult res;
-    Cache l2(cfg.l2);
     uint64_t l2Now = 0;
     for (window_begin = 0; window_begin < ctas;
          window_begin += window_ctas) {

@@ -14,10 +14,13 @@
 #define GSUITE_PROFILER_HWPROFILER_HPP
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "simgpu/Cache.hpp"
 #include "simgpu/GpuConfig.hpp"
 #include "simgpu/KernelLaunch.hpp"
+#include "util/ThreadPool.hpp"
 
 namespace gsuite {
 
@@ -80,7 +83,12 @@ struct HwProfileResult {
     }
 };
 
-/** Trace-replay cache profiler. */
+/**
+ * Trace-replay cache profiler. One instance serves any number of
+ * launches: its replay threads and cache arrays live across profile()
+ * calls, and every launch starts from flushed caches, so each
+ * result is the same as a fresh profiler's. Not thread-safe.
+ */
 class HwProfiler
 {
   public:
@@ -94,7 +102,24 @@ class HwProfiler
     HwProfileResult profile(const KernelLaunch &launch);
 
   private:
+    /** L1-side replay state and output of one modeled SM. */
+    struct SmReplay {
+        uint64_t l1Hits = 0;
+        uint64_t l1Misses = 0;
+        uint64_t now = 0; ///< the L1's LRU pseudo-clock
+        /**
+         * Addresses this SM forwards to the shared L2, grouped by
+         * CTA so the L2 replay can reconstruct the global
+         * (CTA-major) order.
+         */
+        std::vector<std::vector<uint64_t>> l2AddrsByCta;
+    };
+
     HwProfilerConfig cfg;
+    std::vector<Cache> l1; ///< one per modeled SM
+    std::vector<SmReplay> sms;
+    Cache l2;
+    std::unique_ptr<ThreadPool> pool; ///< null for a serial replay
 };
 
 } // namespace gsuite

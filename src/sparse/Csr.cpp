@@ -1,6 +1,5 @@
 #include "sparse/Csr.hpp"
 
-#include <algorithm>
 #include <numeric>
 
 #include "util/Logging.hpp"
@@ -88,36 +87,59 @@ CsrMatrix
 SparseBuilder::finish()
 {
     const size_t n = rowIdx.size();
-    std::vector<size_t> perm(n);
-    std::iota(perm.begin(), perm.end(), size_t{0});
-    std::sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-        if (rowIdx[a] != rowIdx[b])
-            return rowIdx[a] < rowIdx[b];
-        return colIdx[a] < colIdx[b];
-    });
 
+    // Pass 1: stable counting sort of the entry indices by column.
+    std::vector<size_t> byCol(n);
+    {
+        std::vector<size_t> next(static_cast<size_t>(nCols) + 1, 0);
+        for (int64_t c : colIdx)
+            ++next[static_cast<size_t>(c) + 1];
+        std::partial_sum(next.begin(), next.end(), next.begin());
+        for (size_t i = 0; i < n; ++i)
+            byCol[next[static_cast<size_t>(colIdx[i])]++] = i;
+    }
+
+    // Pass 2: stable scatter by row straight into the output, so each
+    // row comes out column-sorted with equal columns in insertion
+    // order.
     CsrMatrix out(nRows, nCols);
-    out.colIdx.reserve(n);
-    out.vals.reserve(n);
-    int64_t last_row = -1;
-    int64_t last_col = -1;
-    std::vector<int64_t> row_counts(static_cast<size_t>(nRows), 0);
-    for (size_t i : perm) {
-        if (rowIdx[i] == last_row && colIdx[i] == last_col) {
-            out.vals.back() += vals[i]; // duplicate entry: sum
-            continue;
+    for (int64_t r : rowIdx)
+        ++out.rowPtr[static_cast<size_t>(r) + 1];
+    std::partial_sum(out.rowPtr.begin(), out.rowPtr.end(),
+                     out.rowPtr.begin());
+    out.colIdx.resize(n);
+    out.vals.resize(n);
+    {
+        std::vector<int64_t> next(out.rowPtr.begin(),
+                                  out.rowPtr.end() - 1);
+        for (size_t i : byCol) {
+            const size_t at = static_cast<size_t>(
+                next[static_cast<size_t>(rowIdx[i])]++);
+            out.colIdx[at] = colIdx[i];
+            out.vals[at] = vals[i];
         }
-        out.colIdx.push_back(colIdx[i]);
-        out.vals.push_back(vals[i]);
-        ++row_counts[static_cast<size_t>(rowIdx[i])];
-        last_row = rowIdx[i];
-        last_col = colIdx[i];
     }
-    for (int64_t r = 0; r < nRows; ++r) {
-        out.rowPtr[static_cast<size_t>(r) + 1] =
-            out.rowPtr[static_cast<size_t>(r)] +
-            row_counts[static_cast<size_t>(r)];
+
+    // Sum duplicates in place, row by row.
+    size_t kept = 0;
+    size_t k = 0;
+    for (size_t r = 0; r < static_cast<size_t>(nRows); ++r) {
+        const size_t rowStart = kept;
+        const size_t rowEnd = static_cast<size_t>(out.rowPtr[r + 1]);
+        for (; k < rowEnd; ++k) {
+            if (kept > rowStart &&
+                out.colIdx[kept - 1] == out.colIdx[k]) {
+                out.vals[kept - 1] += out.vals[k]; // duplicate: sum
+                continue;
+            }
+            out.colIdx[kept] = out.colIdx[k];
+            out.vals[kept] = out.vals[k];
+            ++kept;
+        }
+        out.rowPtr[r + 1] = static_cast<int64_t>(kept);
     }
+    out.colIdx.resize(kept);
+    out.vals.resize(kept);
     out.checkInvariants();
     return out;
 }

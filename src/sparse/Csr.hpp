@@ -61,8 +61,9 @@ class CsrMatrix
 };
 
 /**
- * Incremental CSR builder: rows must be appended in order; entries
- * within a row may arrive unsorted and are sorted on finish().
+ * Incremental CSR builder. Entries may arrive in any row and column
+ * order; finish() sorts them in O(nnz + rows + cols) and sums
+ * duplicates in insertion order.
  */
 class SparseBuilder
 {
@@ -72,7 +73,11 @@ class SparseBuilder
     /** Append an entry to the current row set. */
     void add(int64_t row, int64_t col, float val);
 
-    /** Build the CSR matrix (sorts columns, sums duplicates). */
+    /**
+     * Build the CSR matrix: a stable two-pass counting sort (by
+     * column, then by row), so entries with equal (row, col) stay in
+     * insertion order and are summed in that order.
+     */
     CsrMatrix finish();
 
   private:

@@ -105,8 +105,9 @@ class BenchSession
 
     /**
      * The default single-point runner: load the dataset, build the
-     * engine and framework adapter, run params.runs times, and
-     * aggregate (with per-run samples).
+     * engine and framework adapter, prepare the model once, run it
+     * params.runs times (run 1 cold, later runs on warm buffers; see
+     * FrameworkAdapter), and aggregate (with per-run samples).
      */
     static RunOutcome runPoint(const UserParams &params);
 

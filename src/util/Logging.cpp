@@ -165,11 +165,4 @@ panic(const char *fmt, ...)
     std::abort();
 }
 
-void
-panicIf(bool cond, const std::string &what)
-{
-    if (cond)
-        panic("%s", what.c_str());
-}
-
 } // namespace gsuite

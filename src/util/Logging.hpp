@@ -68,12 +68,19 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
     __attribute__((format(printf, 1, 2)));
 
 /**
- * Check an internal invariant; panics with the message if it fails.
+ * Panic with @p what if @p cond holds. Inline, and taking a plain C
+ * string, so a passing check in a hot loop costs one branch — the
+ * message is only formatted on failure.
  *
- * @param cond Condition that must hold.
+ * @param cond Invariant violation to test for.
  * @param what Description used in the panic message.
  */
-void panicIf(bool cond, const std::string &what);
+inline void
+panicIf(bool cond, const char *what)
+{
+    if (cond) [[unlikely]]
+        panic("%s", what);
+}
 
 /** The calling thread's current log prefix ("" when none). */
 const std::string &logPrefix();

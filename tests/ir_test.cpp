@@ -348,13 +348,14 @@ TEST(OpGraphEngine, BatchedPerReplicaStatsBitIdenticalToUnbatched)
     const FrameworkAdapter adapter(Framework::Gsuite);
 
     SimEngine single(tinySimOpts());
-    const FrameworkRunResult one = adapter.run(g, cfg, single);
+    const FrameworkRunResult one =
+        adapter.run(adapter.prepare(g, cfg), single);
 
     SimEngine::Options batchOpts = tinySimOpts();
     batchOpts.parallelLaunches = 3;
     SimEngine batched(batchOpts);
     const FrameworkRunResult three =
-        adapter.run(g, cfg, batched, /*batch=*/3);
+        adapter.run(adapter.prepare(g, cfg, /*batch=*/3), batched);
 
     const size_t k = one.timeline.size();
     ASSERT_EQ(three.timeline.size(), 3 * k);
@@ -380,10 +381,11 @@ TEST(OpGraphEngine, BatchedMakespanShowsMultiLaunchOverlap)
     SimEngine::Options opts = tinySimOpts();
     opts.parallelLaunches = 4;
     SimEngine single(opts);
-    const FrameworkRunResult one = adapter.run(g, cfg, single);
+    const FrameworkRunResult one =
+        adapter.run(adapter.prepare(g, cfg), single);
     SimEngine batched(opts);
     const FrameworkRunResult four =
-        adapter.run(g, cfg, batched, /*batch=*/4);
+        adapter.run(adapter.prepare(g, cfg, /*batch=*/4), batched);
 
     ASSERT_TRUE(four.graph.hasSim);
     EXPECT_EQ(four.graph.lanes, 4);

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <utility>
 
 #include "sparse/Convert.hpp"
 #include "sparse/Coo.hpp"
@@ -86,6 +88,62 @@ TEST(Csr, BuilderSortsAndDeduplicates)
     EXPECT_EQ(m.rowNnz(1), 2);
     EXPECT_EQ(m.colIdx[1], 0); // sorted within the row
     EXPECT_EQ(m.vals[2], 1.5f); // duplicates summed
+}
+
+TEST(Csr, BuilderMatchesMapOracle)
+{
+    // Entries in random row and column order, with duplicates and
+    // empty rows; a std::map summing in insertion order is the
+    // oracle. Both sum each (row, col) in insertion order, so the
+    // values must match exactly.
+    struct Shape {
+        int64_t rows;
+        int64_t cols;
+        int entries;
+    };
+    const Shape shapes[] = {{0, 0, 0},   {1, 1, 0},   {1, 1, 6},
+                            {7, 3, 40},  {3, 9, 30},  {25, 25, 12},
+                            {25, 25, 300}, {40, 1, 60}, {1, 40, 60}};
+    uint64_t seed = 1;
+    for (const Shape &sh : shapes) {
+        for (int trial = 0; trial < 4; ++trial) {
+            SCOPED_TRACE(std::to_string(sh.rows) + "x" +
+                         std::to_string(sh.cols) + " trial " +
+                         std::to_string(trial));
+            Rng rng(seed++);
+            SparseBuilder b(sh.rows, sh.cols);
+            std::map<std::pair<int64_t, int64_t>, float> oracle;
+            for (int e = 0; e < sh.entries; ++e) {
+                const auto r = static_cast<int64_t>(
+                    rng.nextBelow(static_cast<uint64_t>(sh.rows)));
+                const auto c = static_cast<int64_t>(
+                    rng.nextBelow(static_cast<uint64_t>(sh.cols)));
+                const float v = rng.nextFloat(-1.0f, 1.0f);
+                b.add(r, c, v);
+                auto [it, fresh] = oracle.try_emplace({r, c}, v);
+                if (!fresh)
+                    it->second += v;
+            }
+            const CsrMatrix m = b.finish();
+            ASSERT_EQ(m.rows(), sh.rows);
+            ASSERT_EQ(m.cols(), sh.cols);
+            ASSERT_EQ(m.nnz(), static_cast<int64_t>(oracle.size()));
+            auto it = oracle.begin();
+            for (int64_t r = 0; r < m.rows(); ++r) {
+                for (int64_t i = m.rowPtr[static_cast<size_t>(r)];
+                     i < m.rowPtr[static_cast<size_t>(r) + 1]; ++i) {
+                    ASSERT_NE(it, oracle.end());
+                    EXPECT_EQ(it->first.first, r);
+                    EXPECT_EQ(it->first.second,
+                              m.colIdx[static_cast<size_t>(i)]);
+                    EXPECT_EQ(it->second,
+                              m.vals[static_cast<size_t>(i)]);
+                    ++it;
+                }
+            }
+            EXPECT_EQ(it, oracle.end());
+        }
+    }
 }
 
 TEST(Csr, EmptyRowsHaveMonotonicRowPtr)

@@ -77,7 +77,7 @@ TEST(FrameworkTest, EndToEndTimeIncludesOverheads)
     ModelConfig cfg;
     FunctionalEngine engine;
     const FrameworkAdapter pyg(Framework::Pyg);
-    const auto res = pyg.run(g, cfg, engine);
+    const auto res = pyg.run(pyg.prepare(g, cfg), engine);
     EXPECT_GT(res.endToEndUs,
               FrameworkOverheads::of(Framework::Pyg).initUs);
     EXPECT_GT(res.endToEndUs, res.kernelUs);
@@ -89,13 +89,14 @@ TEST(FrameworkTest, PygSlowestGsuiteFastest)
     const Graph g = smallGraph();
     ModelConfig cfg;
     FunctionalEngine engine;
-    const auto pyg = FrameworkAdapter(Framework::Pyg)
-                         .run(g, cfg, engine);
-    const auto dgl = FrameworkAdapter(Framework::Dgl)
-                         .run(g, cfg, engine);
+    const auto runOn = [&](Framework fw) {
+        const FrameworkAdapter adapter(fw);
+        return adapter.run(adapter.prepare(g, cfg), engine);
+    };
+    const auto pyg = runOn(Framework::Pyg);
+    const auto dgl = runOn(Framework::Dgl);
     cfg.comp = CompModel::Mp;
-    const auto gsm = FrameworkAdapter(Framework::Gsuite)
-                         .run(g, cfg, engine);
+    const auto gsm = runOn(Framework::Gsuite);
     EXPECT_GT(pyg.endToEndUs, dgl.endToEndUs);
     EXPECT_GT(dgl.endToEndUs, gsm.endToEndUs);
 }
@@ -106,8 +107,8 @@ TEST(FrameworkTest, DglRunsSageViaSpmm)
     ModelConfig cfg;
     cfg.model = GnnModelKind::Sage;
     FunctionalEngine engine;
-    const auto res =
-        FrameworkAdapter(Framework::Dgl).run(g, cfg, engine);
+    const FrameworkAdapter dgl(Framework::Dgl);
+    const auto res = dgl.run(dgl.prepare(g, cfg), engine);
     bool has_spmm = false;
     for (const auto &rec : res.timeline)
         has_spmm |= rec.kind == KernelClass::SpMM;
