@@ -9,10 +9,16 @@
  *
  * Emits machine-readable JSON (default BENCH_sim_throughput.json)
  * via ResultStore::toJson so later changes can track the
- * performance trajectory:
+ * performance trajectory. Per kernel, host_per_mwarp_instr_ms is the
+ * one-thread host time per million simulated warp instructions —
+ * numerically, ns per warp instruction — the simulator core's cost
+ * metric. The meta block records the host's hardware threads, the
+ * compiler and the build type, so results from different runs can
+ * be compared:
  *
  *   --json FILE    output path
- *   --threads N    SM worker threads of the scaled run (0 = auto)
+ *   --threads N    SM worker threads of the scaled run (0 = the
+ *                  host's hardware threads)
  *   --chunk N      trace-chunk instructions (default 256)
  *   --quick        smaller workloads for smoke runs
  *
@@ -26,6 +32,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/BenchCommon.hpp"
@@ -116,6 +123,10 @@ measure(RunOutcome &out, const KernelLaunch &launch,
     out.metrics["trace_bytes_peak"] =
         static_cast<double>(first.traceBytesPeak);
     out.metrics["one_thread_ms"] = best_ms[0];
+    out.metrics["host_per_mwarp_instr_ms"] =
+        first.warpInstrs > 0
+            ? best_ms[0] * 1e6 / static_cast<double>(first.warpInstrs)
+            : 0.0;
     out.metrics["threaded_ms"] = best_ms[1];
     const double speedup =
         best_ms[1] > 0.0 ? best_ms[0] / best_ms[1] : 0.0;
@@ -146,10 +157,13 @@ main(int argc, char **argv)
     const int reps = quick ? 2 : 3;
 
     const GpuConfig cfg = GpuConfig::v100Sim();
-    // GpuSimulator::resolveThreads, made explicit for the report.
+    // The scaled run measures thread scaling, so --threads 0 means
+    // the host's lanes here, not the simulator's auto (one thread).
+    SimOptions scaled;
+    scaled.numThreads =
+        threads > 0 ? threads : ThreadPool::defaultLanes();
     const int resolved_threads =
-        std::clamp(threads > 0 ? threads : ThreadPool::defaultLanes(),
-                   1, cfg.numSms);
+        GpuSimulator(cfg).resolveThreads(scaled);
 
     bench::banner("simulator throughput",
                   "default config, " + std::to_string(chunk) +
@@ -225,7 +239,7 @@ main(int argc, char **argv)
     const std::string n_thr = std::to_string(resolved_threads);
     TablePrinter table("simulator throughput");
     table.header({"kernel", "1-thr ms", n_thr + "-thr ms", "speedup",
-                  "efficiency", "trace KiB"});
+                  "efficiency", "1-thr ns/winstr", "trace KiB"});
     for (const auto &r : store) {
         if (!r.ok)
             continue;
@@ -234,15 +248,20 @@ main(int argc, char **argv)
                    fmtDouble(m.at("threaded_ms"), 2),
                    fmtDouble(m.at("thread_speedup"), 2),
                    fmtDouble(m.at("thread_eff"), 2),
+                   fmtDouble(m.at("host_per_mwarp_instr_ms"), 1),
                    fmtDouble(m.at("trace_bytes_peak") / 1024.0, 1)});
     }
     table.print();
 
-    store.toJson(json_path,
-                 {{"threads", static_cast<double>(resolved_threads)},
-                  {"chunk", static_cast<double>(chunk)},
-                  {"peak_rss_kb", static_cast<double>(peakRssKb())},
-                  {"quick", quick ? 1.0 : 0.0}});
+    store.toJson(
+        json_path,
+        {{"threads", static_cast<double>(resolved_threads)},
+         {"chunk", static_cast<double>(chunk)},
+         {"peak_rss_kb", static_cast<double>(peakRssKb())},
+         {"quick", quick ? 1.0 : 0.0},
+         {"hardware_concurrency",
+          static_cast<double>(std::thread::hardware_concurrency())}},
+        {{"compiler", __VERSION__}, {"build_type", GSUITE_BUILD_TYPE}});
     std::printf("wrote %s\n", json_path.c_str());
     return 0;
 }

@@ -111,8 +111,9 @@ HwProfiler::profile(const KernelLaunch &launch)
                             const bool use_l1 = in.op != Op::ATOM;
                             bool l1_hit = false;
                             if (use_l1) {
-                                l1_hit =
-                                    myL1.probe(addr, now).hit;
+                                // Load misses allocate in L1.
+                                l1_hit = myL1.access(addr, now,
+                                                     in.op == Op::LDG);
                                 if (l1_hit)
                                     ++out.l1Hits;
                                 else
@@ -123,9 +124,6 @@ HwProfiler::profile(const KernelLaunch &launch)
                             // The access reaches L2 (stores write
                             // through; atomics land there directly).
                             l2_addrs.push_back(addr);
-                            if (use_l1 && in.op == Op::LDG &&
-                                !l1_hit)
-                                myL1.fill(addr, now, now);
                         }
                     }
                 }
@@ -154,12 +152,10 @@ HwProfiler::profile(const KernelLaunch &launch)
                 static_cast<size_t>((cta - window_begin) / num_sms);
             for (const uint64_t addr : sm.l2AddrsByCta[slot]) {
                 ++l2Now;
-                if (l2.probe(addr, l2Now).hit)
+                if (l2.access(addr, l2Now, true))
                     ++res.l2Hits;
-                else {
+                else
                     ++res.l2Misses;
-                    l2.fill(addr, l2Now, l2Now);
-                }
             }
         }
     }

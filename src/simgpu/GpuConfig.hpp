@@ -12,6 +12,7 @@
 #ifndef GSUITE_SIMGPU_GPUCONFIG_HPP
 #define GSUITE_SIMGPU_GPUCONFIG_HPP
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -98,6 +99,13 @@ struct DramConfig {
 
     bool operator==(const DramConfig &) const = default;
 };
+
+/** log2(@p v) when @p v is a power of two, else -1 (index math). */
+inline int
+exactLog2(uint64_t v)
+{
+    return std::has_single_bit(v) ? std::countr_zero(v) : -1;
+}
 
 /** Geometry of one cache level. */
 struct CacheGeometry {

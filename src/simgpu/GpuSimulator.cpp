@@ -33,24 +33,88 @@ GpuSimulator::GpuSimulator(GpuConfig config)
 int
 GpuSimulator::resolveThreads(const SimOptions &opts) const
 {
-    int threads = opts.numThreads > 0 ? opts.numThreads
-                                      : ThreadPool::defaultLanes();
-    return std::clamp(threads, 1, cfg.numSms);
+    // Auto is one thread: the three barriers per simulated cycle make
+    // more threads slower on every host measured so far.
+    return std::clamp(opts.numThreads > 0 ? opts.numThreads : 1, 1,
+                      cfg.numSms);
+}
+
+void
+GpuSimulator::settle(RunControl &ctl, int sm)
+{
+    uint64_t &skipped = ctl.skippedSteps[static_cast<size_t>(sm)];
+    if (skipped > 0) {
+        sms[static_cast<size_t>(sm)]->replaySteps(skipped);
+        skipped = 0;
+    }
 }
 
 void
 GpuSimulator::stepRange(int begin, int end, RunControl &ctl,
                         int worker)
 {
+    // Only due SMs step. A frozen or empty SM's step would replay its
+    // last classification and report its wake cycle as its next
+    // event; the calendar does the same without the call, and the
+    // replayed accounting is settled in bulk.
     bool issued = false;
+    bool parked = false;
     uint64_t next_event = ~uint64_t{0};
-    for (int i = begin; i < end; ++i)
-        issued =
-            sms[static_cast<size_t>(i)]->stepCycle(ctl.cycle,
-                                                   next_event) ||
-            issued;
+    for (int i = begin; i < end; ++i) {
+        const size_t si = static_cast<size_t>(i);
+        if (ctl.wakeAt[si] > ctl.cycle) {
+            ++ctl.skippedSteps[si];
+            next_event = std::min(next_event, ctl.wakeAt[si]);
+            continue;
+        }
+        settle(ctl, i);
+        Sm &sm = *sms[si];
+        issued = sm.stepCycle(ctl.cycle, next_event) || issued;
+        ctl.wakeAt[si] = sm.wakeCycle(ctl.cycle);
+        parked = parked || mem.hasParked(i);
+    }
     ctl.issuedBy[static_cast<size_t>(worker)] = issued ? 1 : 0;
+    ctl.parkedBy[static_cast<size_t>(worker)] = parked ? 1 : 0;
     ctl.eventBy[static_cast<size_t>(worker)] = next_event;
+}
+
+void
+GpuSimulator::resolveRange(int begin, int end, const RunControl &ctl)
+{
+    // Only a parked access leaves sectors pending on a slice; with
+    // none anywhere every resolveSlice() would return at once.
+    if (std::none_of(ctl.parkedBy.begin(), ctl.parkedBy.end(),
+                     [](uint8_t p) { return p != 0; }))
+        return;
+    for (int s = begin; s < end; ++s)
+        mem.resolveSlice(s);
+}
+
+void
+GpuSimulator::assignCtas(RunControl &ctl, uint64_t cycle)
+{
+    // Round-robin by free-slot discovery order. Sampled runs walk the
+    // plan's CTA order instead of the dense prefix.
+    for (size_t i = 0; i < sms.size(); ++i) {
+        Sm &sm = *sms[i];
+        if (ctl.nextCta >= ctl.ctasToSim)
+            return;
+        if (!sm.hasFreeCtaSlot())
+            continue;
+        // New warps end any skip window: replay it under the old
+        // state first, and step the SM next cycle.
+        settle(ctl, static_cast<int>(i));
+        ctl.wakeAt[i] = 0;
+        while (ctl.nextCta < ctl.ctasToSim && sm.hasFreeCtaSlot()) {
+            const int64_t id =
+                ctl.sampleOrder
+                    ? (*ctl.sampleOrder)[static_cast<size_t>(
+                          ctl.nextCta)]
+                    : ctl.nextCta;
+            ++ctl.nextCta;
+            sm.assignCta(id, cycle);
+        }
+    }
 }
 
 void
@@ -98,6 +162,7 @@ GpuSimulator::controlPhase(RunControl &ctl)
     // (every stepCycle write ordered before), reads only — every
     // deterministic counter is invariant to sampling.
     if (ctl.sampleEnabled && ctl.cycle >= ctl.nextSampleCycle) {
+        settle(ctl, ctl.sampleCore);
         ctl.samples.push_back(
             sms[static_cast<size_t>(ctl.sampleCore)]
                 ->sampleSchedState(ctl.cycle));
@@ -122,20 +187,7 @@ GpuSimulator::controlPhase(RunControl &ctl)
         return;
     }
 
-    // Assign pending CTAs to SMs with free slots (round-robin by
-    // free-slot discovery order). Sampled runs walk the plan's CTA
-    // order instead of the dense prefix.
-    for (auto &sm : sms) {
-        while (ctl.nextCta < ctl.ctasToSim && sm->hasFreeCtaSlot()) {
-            const int64_t id =
-                ctl.sampleOrder
-                    ? (*ctl.sampleOrder)[static_cast<size_t>(
-                          ctl.nextCta)]
-                    : ctl.nextCta;
-            ++ctl.nextCta;
-            sm->assignCta(id, ctl.cycle);
-        }
-    }
+    assignCtas(ctl, ctl.cycle);
 
     bool busy = ctl.nextCta < ctl.ctasToSim;
     for (auto &sm : sms)
@@ -196,6 +248,9 @@ GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
     ctl.cancel = opts.cancel;
     ctl.issuedBy.assign(static_cast<size_t>(threads), 0);
     ctl.eventBy.assign(static_cast<size_t>(threads), ~uint64_t{0});
+    ctl.parkedBy.assign(static_cast<size_t>(threads), 0);
+    ctl.wakeAt.assign(sms.size(), 0);
+    ctl.skippedSteps.assign(sms.size(), 0);
     if (opts.smSampleEnabled) {
         ctl.sampleEnabled = true;
         ctl.sampleCore = std::clamp(opts.smSampleCore, 0,
@@ -206,17 +261,7 @@ GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
     }
 
     // Initial CTA wave at cycle 0.
-    for (auto &sm : sms) {
-        while (ctl.nextCta < ctl.ctasToSim && sm->hasFreeCtaSlot()) {
-            const int64_t id =
-                ctl.sampleOrder
-                    ? (*ctl.sampleOrder)[static_cast<size_t>(
-                          ctl.nextCta)]
-                    : ctl.nextCta;
-            ++ctl.nextCta;
-            sm->assignCta(id, 0);
-        }
-    }
+    assignCtas(ctl, 0);
 
     const int num_sms = cfg.numSms;
     const int num_slices = mem.numSlices();
@@ -228,8 +273,7 @@ GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
     if (threads == 1) {
         while (!ctl.done) {
             stepRange(0, num_sms, ctl, 0);
-            for (int s = 0; s < num_slices; ++s)
-                mem.resolveSlice(s);
+            resolveRange(0, num_slices, ctl);
             controlPhase(ctl);
         }
     } else {
@@ -244,9 +288,8 @@ GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
                 stepRange(sm_begin(worker), sm_begin(worker + 1),
                           ctl, worker);
                 barrier.arriveAndWait(); // all SMs stepped
-                for (int s = slice_begin(worker);
-                     s < slice_begin(worker + 1); ++s)
-                    mem.resolveSlice(s);
+                resolveRange(slice_begin(worker),
+                             slice_begin(worker + 1), ctl);
                 barrier.arriveAndWait(); // memory resolved
                 if (worker == 0)
                     controlPhase(ctl);
@@ -280,9 +323,12 @@ GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
         panicIf(++drain_rounds > 1000000,
                 "parked memory accesses failed to drain (livelock?)");
     }
-    // Flush any still-parked memory access so its counters land.
-    for (auto &sm : sms)
-        sm->drainParkedMem();
+    // Flush any still-parked memory access so its counters land, and
+    // replay every skip window before anything reads the counters.
+    for (int i = 0; i < num_sms; ++i) {
+        settle(ctl, i);
+        sms[static_cast<size_t>(i)]->drainParkedMem();
+    }
 
     // Closing sample so the trace covers the tail of the run (after
     // the parked-memory drain, whose counters belong to the launch).

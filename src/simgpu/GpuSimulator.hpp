@@ -7,8 +7,11 @@
  *
  * The cycle loop can step SMs concurrently on a persistent worker
  * pool. Each cycle runs three barrier-separated phases:
- *   step     — every worker steps its SMs (classify + issue + L1);
- *   resolve  — every worker services its L2/DRAM address slices;
+ *   step     — every worker steps its due SMs (classify + issue +
+ *              L1); a frozen or empty SM is skipped until its wake
+ *              cycle and its replayed accounting settles in bulk;
+ *   resolve  — every worker services its L2/DRAM address slices
+ *              (skipped when no SM holds a parked access);
  *   control  — worker 0 merges events, fast-forwards stalls, assigns
  *              CTAs and decides termination.
  * All cross-thread state is partitioned by SM index or slice index
@@ -47,8 +50,10 @@ struct SimOptions {
     uint64_t cycleLimit = 50'000'000;
 
     /**
-     * Worker threads stepping SMs (and servicing memory slices).
-     * 0 = auto: min(hardware threads, numSms). Results are identical
+     * Worker threads stepping SMs (and servicing memory slices),
+     * clamped to numSms. 0 = auto = 1: every simulated cycle crosses
+     * three barriers, and more threads were slower than one on every
+     * host measured (see src/simgpu/README.md). Results are identical
      * for every value; this only affects wall-clock time.
      */
     int numThreads = 0;
@@ -112,6 +117,9 @@ class GpuSimulator
 
     const GpuConfig &config() const { return cfg; }
 
+    /** Worker threads a run with @p opts uses (see numThreads). */
+    int resolveThreads(const SimOptions &opts) const;
+
   private:
     /** Shared per-run control state (see the cycle-phase contract). */
     struct RunControl {
@@ -127,6 +135,15 @@ class GpuSimulator
         bool cancelled = false;
         std::vector<uint8_t> issuedBy; ///< per-worker issue flags
         std::vector<uint64_t> eventBy; ///< per-worker event minima
+        /** Per-worker: some SM of the worker holds a parked access. */
+        std::vector<uint8_t> parkedBy;
+        /**
+         * Due-work calendar, per SM: the next cycle its step does
+         * real work (Sm::wakeCycle), and the steps skipped since,
+         * which settle() replays in bulk.
+         */
+        std::vector<uint64_t> wakeAt;
+        std::vector<uint64_t> skippedSteps;
         /**
          * CTA-sampled runs assign the plan's CTA ids instead of the
          * dense prefix; nextCta then indexes this order. nullptr in
@@ -147,9 +164,13 @@ class GpuSimulator
     std::vector<KernelStats> smStats;
     std::unique_ptr<ThreadPool> pool;
 
-    int resolveThreads(const SimOptions &opts) const;
     void stepRange(int begin, int end, RunControl &ctl, int worker);
+    void resolveRange(int begin, int end, const RunControl &ctl);
     void controlPhase(RunControl &ctl);
+    /** Replay SM @p sm's skipped steps into its statistics. */
+    void settle(RunControl &ctl, int sm);
+    /** Take pending CTAs onto free SM slots at @p cycle. */
+    void assignCtas(RunControl &ctl, uint64_t cycle);
 };
 
 } // namespace gsuite

@@ -14,6 +14,8 @@ MshrTable::configure(const MshrConfig &c)
 {
     cfg = c;
     entries.assign(static_cast<size_t>(cfg.entries), Entry{});
+    entryLine.assign(entries.size(), kNoLine);
+    lineBucket.assign(kLineBuckets, 0);
     treeLeaves = 1;
     while (treeLeaves < entries.size())
         treeLeaves *= 2;
@@ -26,12 +28,13 @@ MshrTable::reset()
 {
     for (Entry &e : entries)
         e = Entry{};
+    std::fill(entryLine.begin(), entryLine.end(), kNoLine);
+    std::fill(lineBucket.begin(), lineBucket.end(), 0u);
     pending = 0;
     known.clear();
     freeTree.assign(2 * treeLeaves, kPendingRelease);
     for (size_t i = 0; i < entries.size(); ++i)
         setFreeFrom(static_cast<int>(i), 0);
-    lineEntries.clear();
 }
 
 void
@@ -108,10 +111,13 @@ MshrTable::acquire(uint64_t line, uint64_t &at)
     // flip the entry back to busy retroactively, i.e. the table
     // could go ready -> full without an acquire, which the issue
     // logic is allowed to assume never happens.
-    for (auto it = lineEntries.lower_bound({line, 0});
-         it != lineEntries.end() && it->first == line; ++it) {
-        const int i = it->second;
-        Entry &e = entries[static_cast<size_t>(i)];
+    const size_t n =
+        lineBucket[line % kLineBuckets] > 0 ? entryLine.size() : 0;
+    for (size_t k = 0; k < n; ++k) {
+        if (entryLine[k] != line)
+            continue;
+        const int i = static_cast<int>(k);
+        Entry &e = entries[k];
         if (e.releaseAt <= at || e.merges >= cfg.maxMerges)
             continue;
         ++e.merges;
@@ -134,17 +140,18 @@ MshrTable::acquire(uint64_t line, uint64_t &at)
         free = lowestFreeAt(at);
     }
     Entry &e = entries[static_cast<size_t>(free)];
+    uint64_t &held = entryLine[static_cast<size_t>(free)];
     if (e.used) {
         dropKnown(e.releaseAt); // free, so its release was known
-        lineEntries.erase({e.line, free});
+        --lineBucket[held % kLineBuckets];
     }
-    e.line = line;
+    held = line;
+    ++lineBucket[line % kLineBuckets];
     e.releaseAt = kPendingRelease;
     e.merges = 1;
     e.used = true;
     ++pending;
     setFreeFrom(free, kPendingRelease);
-    lineEntries.insert({line, free});
     return free;
 }
 
@@ -344,8 +351,7 @@ CacheLevel::serviceSector(uint64_t addr, uint64_t issue_at)
     if (!next_->canAccept(issue_at))
         return out; // Rejected: bounded queue full, retry next cycle
 
-    const uint64_t line =
-        addr / static_cast<uint64_t>(store.geometry().lineBytes);
+    const uint64_t line = store.lineOf(addr);
     uint64_t at = issue_at;
     const int entry = table.acquire(line, at);
     if (entry < 0)

@@ -25,8 +25,6 @@
 #define GSUITE_SIMGPU_MEMLEVEL_HPP
 
 #include <cstdint>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "simgpu/Cache.hpp"
@@ -40,14 +38,16 @@ namespace gsuite {
  * passes; freeing is lazy — acquire() treats any entry whose
  * release is <= the access time as reusable.
  *
- * No query scans the entries. The table keeps a count of pending
- * entries and the sorted known release cycles (ready/nextRelease:
- * one binary search), a min-tree of each entry's "free from" cycle
- * (the lowest free entry at any access time: one root-to-leaf
- * descent), and the ordered set of (line, entry) pairs (merge
- * lookup: one search, then that line's entries in index order). Query times may be non-monotone (L2 tables
- * see out-of-order `at` values within one cycle); every answer is
- * the one a linear scan over the entries would give.
+ * The table keeps a count of pending entries and the sorted known
+ * release cycles (ready/nextRelease: one binary search), a min-tree
+ * of each entry's "free from" cycle (the lowest free entry at any
+ * access time: one root-to-leaf descent), and a flat per-entry line
+ * array (merge lookup: one contiguous scan in entry order, the merge
+ * order a linear scan over the entries gives, skipped when a counting
+ * filter shows no entry holds the line). Nothing allocates
+ * after configure(). Query times may be non-monotone (L2 tables see
+ * out-of-order `at` values within one cycle); every answer is the
+ * one a linear scan over the entries would give.
  */
 class MshrTable
 {
@@ -90,14 +90,26 @@ class MshrTable
     void release(int entry, uint64_t release_at);
 
   private:
+    /** Line slot of an entry never claimed since reset (no line is
+     *  this large: lines are byte addresses divided by the line
+     *  size). */
+    static constexpr uint64_t kNoLine = ~uint64_t{0};
+
     struct Entry {
-        uint64_t line = 0;
         uint64_t releaseAt = 0; ///< kPendingRelease while unknown
         int merges = 0;
         bool used = false; ///< ever claimed since reset
     };
 
     std::vector<Entry> entries;
+    /** Line of each entry (kNoLine until claimed), scanned on merge. */
+    std::vector<uint64_t> entryLine;
+    /**
+     * Counting filter over entryLine: claimed entries per line bucket
+     * (line mod kLineBuckets). A zero bucket skips the merge scan.
+     */
+    static constexpr size_t kLineBuckets = 256;
+    std::vector<uint32_t> lineBucket;
     MshrConfig cfg;
     int pending = 0; ///< used entries whose release is unknown
     /** Known release cycles of used entries, ascending. */
@@ -109,8 +121,6 @@ class MshrTable
      */
     std::vector<uint64_t> freeTree;
     size_t treeLeaves = 1;
-    /** (line, entry) of every used entry. */
-    std::set<std::pair<uint64_t, int>> lineEntries;
 
     size_t busyKnownAfter(uint64_t cycle) const;
     void setFreeFrom(int entry, uint64_t cycle);

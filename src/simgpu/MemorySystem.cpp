@@ -7,7 +7,22 @@
 
 namespace gsuite {
 
-MemorySystem::MemorySystem(const GpuConfig &cfg) : cfg(cfg)
+namespace {
+
+/** @p v / @p d, by @p shift when d is a power of two (shift >= 0). */
+uint64_t
+divide(uint64_t v, int d, int shift)
+{
+    return shift >= 0 ? v >> shift : v / static_cast<uint64_t>(d);
+}
+
+} // namespace
+
+MemorySystem::MemorySystem(const GpuConfig &cfg)
+    : cfg(cfg),
+      l2LineShift(exactLog2(static_cast<uint64_t>(cfg.l2.lineBytes))),
+      sectorShift(exactLog2(static_cast<uint64_t>(cfg.l1d.sectorBytes))),
+      sliceShift(exactLog2(static_cast<uint64_t>(cfg.numL2Slices)))
 {
     l1.reserve(static_cast<size_t>(cfg.numSms));
     for (int i = 0; i < cfg.numSms; ++i)
@@ -37,8 +52,7 @@ MemorySystem::MemorySystem(const GpuConfig &cfg) : cfg(cfg)
 int
 MemorySystem::sliceOf(uint64_t addr) const
 {
-    const uint64_t line =
-        addr / static_cast<uint64_t>(cfg.l2.lineBytes);
+    const uint64_t line = divide(addr, cfg.l2.lineBytes, l2LineShift);
     return static_cast<int>(
         line & static_cast<uint64_t>(cfg.numL2Slices - 1));
 }
@@ -48,10 +62,9 @@ MemorySystem::sliceLocalAddr(uint64_t addr) const
 {
     const uint64_t line_bytes =
         static_cast<uint64_t>(cfg.l2.lineBytes);
-    const uint64_t line = addr / line_bytes;
-    return (line / static_cast<uint64_t>(cfg.numL2Slices)) *
-               line_bytes +
-           addr % line_bytes;
+    const uint64_t line = divide(addr, cfg.l2.lineBytes, l2LineShift);
+    return divide(line, cfg.numL2Slices, sliceShift) * line_bytes +
+           (addr - line * line_bytes);
 }
 
 bool
@@ -66,14 +79,18 @@ MemorySystem::beginAccess(int sm, uint64_t cycle,
     CacheLevel &l1_level = *l1[static_cast<size_t>(sm)];
 
     // --- coalescer: collapse lane addresses into unique sectors -------
+    // Sectors keep first-appearance order. Neighbouring lanes mostly
+    // share a sector, so the newest one is checked before the scan.
     const uint64_t sector_bytes =
         static_cast<uint64_t>(cfg.l1d.sectorBytes);
     uint64_t sectors[32];
     int num_sectors = 0;
     for (uint64_t a : lane_addrs) {
-        const uint64_t s = a / sector_bytes;
+        const uint64_t s = divide(a, cfg.l1d.sectorBytes, sectorShift);
+        if (num_sectors > 0 && sectors[num_sectors - 1] == s)
+            continue;
         bool found = false;
-        for (int i = 0; i < num_sectors; ++i) {
+        for (int i = 0; i < num_sectors - 1; ++i) {
             if (sectors[i] == s) {
                 found = true;
                 break;
@@ -155,8 +172,7 @@ MemorySystem::beginAccess(int sm, uint64_t cycle,
             // busy with an unknown release (entries claimed by this
             // very access), the sector spills untracked (-1) — the
             // issue-time l1Mshr().ready() gate keeps this rare.
-            const uint64_t line =
-                addr / static_cast<uint64_t>(cfg.l1d.lineBytes);
+            const uint64_t line = l1_level.cache().lineOf(addr);
             uint64_t at = q.issueAt;
             q.l1Entry = l1_level.mshr().acquire(line, at);
             q.issueAt = at;

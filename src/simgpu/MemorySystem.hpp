@@ -228,6 +228,10 @@ class MemorySystem
     std::vector<uint32_t> slicePending;
     /** Fractional cycle bookkeeping: DRAM service is sub-cycle. */
     double dramCyclesPerSector; ///< per slice
+    /** log2 of the L2 line / sector size, -1 when not a power of two. */
+    int l2LineShift;
+    int sectorShift;
+    int sliceShift; ///< log2(numL2Slices), -1 when not a power of two
 
     int sliceOf(uint64_t addr) const;
     /** Remap @p addr into a slice-local address (slice bits removed). */

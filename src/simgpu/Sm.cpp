@@ -1,6 +1,7 @@
 #include "simgpu/Sm.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/Logging.hpp"
 
@@ -9,15 +10,6 @@ namespace gsuite {
 namespace {
 
 constexpr uint64_t kNoEvent = ~uint64_t{0};
-
-/** std::push_heap/pop_heap comparator for a min-heap on key. */
-struct HeapLater {
-    bool
-    operator()(const auto &a, const auto &b) const
-    {
-        return a.key > b.key;
-    }
-};
 
 } // namespace
 
@@ -31,17 +23,25 @@ Sm::Sm(const GpuConfig &cfg, int sm_id, MemorySystem &mem)
       slotActive(static_cast<size_t>(cfg.maxWarpsPerSm), 0),
       slotReason(static_cast<size_t>(cfg.maxWarpsPerSm), 0),
       slotUnblock(static_cast<size_t>(cfg.maxWarpsPerSm), 0),
-      slotExpiry(static_cast<size_t>(cfg.maxWarpsPerSm), 0),
-      slotAge(static_cast<size_t>(cfg.maxWarpsPerSm), 0),
+      slotExpiry(static_cast<size_t>(cfg.maxWarpsPerSm), kNoEvent),
       slotIsMem(static_cast<size_t>(cfg.maxWarpsPerSm), 0),
       slotNeedsAlu(static_cast<size_t>(cfg.maxWarpsPerSm), 0),
       slotLanes(static_cast<size_t>(cfg.maxWarpsPerSm), 0),
-      readyPos(static_cast<size_t>(cfg.maxWarpsPerSm), -1),
-      slotReadyKind(static_cast<size_t>(cfg.maxWarpsPerSm), 0),
-      residentBySched(static_cast<size_t>(cfg.numSchedulers), 0)
+      ageOrder(static_cast<size_t>(cfg.numSchedulers)),
+      slotRank(static_cast<size_t>(cfg.maxWarpsPerSm), 0),
+      rankWords((cfg.maxWarpsPerSm / cfg.numSchedulers + 63) / 64),
+      readyBits(static_cast<size_t>(3 * cfg.numSchedulers * rankWords),
+                0),
+      slotReadyKind(static_cast<size_t>(cfg.maxWarpsPerSm), -1),
+      slotWords((cfg.maxWarpsPerSm + 63) / 64),
+      wheel(kWheel * static_cast<size_t>(slotWords), 0),
+      dueNow(static_cast<size_t>(slotWords), 0),
+      farSlots(static_cast<size_t>(slotWords), 0),
+      dueScratch(static_cast<size_t>(slotWords), 0)
 {
-    for (auto &kind : readyKind)
-        kind.resize(static_cast<size_t>(cfg.numSchedulers));
+    for (auto &order : ageOrder)
+        order.reserve(static_cast<size_t>(cfg.maxWarpsPerSm /
+                                          cfg.numSchedulers));
 }
 
 void
@@ -77,22 +77,24 @@ Sm::beginLaunch(const KernelLaunch *new_launch, KernelStats *new_stats,
     std::fill(slotReason.begin(), slotReason.end(),
               static_cast<uint8_t>(StallReason::NotSelected));
     std::fill(slotUnblock.begin(), slotUnblock.end(), uint64_t{0});
-    std::fill(slotExpiry.begin(), slotExpiry.end(), uint64_t{0});
-    std::fill(slotAge.begin(), slotAge.end(), uint64_t{0});
+    std::fill(slotExpiry.begin(), slotExpiry.end(), kNoEvent);
     std::fill(slotIsMem.begin(), slotIsMem.end(), uint8_t{0});
     std::fill(slotNeedsAlu.begin(), slotNeedsAlu.end(), uint8_t{0});
     std::fill(slotLanes.begin(), slotLanes.end(), uint8_t{0});
-    for (auto &kind : readyKind)
-        for (auto &list : kind)
-            list.clear();
-    std::fill(readyPos.begin(), readyPos.end(), -1);
-    std::fill(residentBySched.begin(), residentBySched.end(), 0);
-    dueHeap.clear();
-    dueSlots.clear();
-    issuedRecheck.clear();
+    for (auto &order : ageOrder)
+        order.clear();
+    std::fill(readyBits.begin(), readyBits.end(), uint64_t{0});
+    std::fill(slotReadyKind.begin(), slotReadyKind.end(), int8_t{-1});
+    std::fill(wheel.begin(), wheel.end(), uint64_t{0});
+    std::fill(dueNow.begin(), dueNow.end(), uint64_t{0});
+    std::fill(farSlots.begin(), farSlots.end(), uint64_t{0});
+    farMin = kNoEvent;
+    lastSwept = 0;
     stallCount.fill(0);
     lsuFree = 0;
     residentWarps = 0;
+    activeCtas = 0;
+    lastStepEmpty = false;
     ageCounter = 0;
     parkedWarp = -1;
     idleUntil = 0;
@@ -112,16 +114,6 @@ Sm::beginLaunch(const KernelLaunch *new_launch, KernelStats *new_stats,
     ctas.assign(static_cast<size_t>(maxResidentCtas), CtaCtx{});
 }
 
-bool
-Sm::hasFreeCtaSlot() const
-{
-    for (const auto &c : ctas) {
-        if (!c.active)
-            return true;
-    }
-    return false;
-}
-
 void
 Sm::assignCta(int64_t cta_id, uint64_t cycle)
 {
@@ -135,6 +127,7 @@ Sm::assignCta(int64_t cta_id, uint64_t cycle)
     panicIf(!cta, "assignCta with no free CTA slot");
 
     const int warps_per_cta = launch->dims.warpsPerCta();
+    ++activeCtas;
     cta->active = true;
     cta->ctaId = cta_id;
     cta->liveWarps = 0;
@@ -173,17 +166,19 @@ Sm::assignCta(int64_t cta_id, uint64_t cycle)
         w.ageStamp = ageCounter++;
         w.chunkBytes = 0;
         slotActive[static_cast<size_t>(slot)] = 1;
-        slotAge[static_cast<size_t>(slot)] = w.ageStamp;
-        slotExpiry[static_cast<size_t>(slot)] = 0; // classify at next step
+        setExpiry(slot, 0); // classify at next step
         slotUnblock[static_cast<size_t>(slot)] = 0;
         // Slot (re)activation: enter the class count directly — the
         // stale reason of a previous occupant must not be debited.
         slotReason[static_cast<size_t>(slot)] =
             static_cast<uint8_t>(StallReason::NotSelected);
         ++stallCount[static_cast<size_t>(StallReason::NotSelected)];
-        pushDue(0, slot);
-        ++residentBySched[static_cast<size_t>(
-            slot % cfg.numSchedulers)];
+        // The youngest warp so far: its rank goes last.
+        auto &order =
+            ageOrder[static_cast<size_t>(slot % cfg.numSchedulers)];
+        slotRank[static_cast<size_t>(slot)] =
+            static_cast<int>(order.size());
+        order.push_back(slot);
         cta->warpSlots.push_back(slot);
         ++cta->liveWarps;
         ++residentWarps;
@@ -215,26 +210,77 @@ Sm::refillChunk(WarpCtx &w)
 }
 
 void
-Sm::pushDue(uint64_t key, int slot)
+Sm::setExpiry(int slot, uint64_t at_cycle)
 {
-    // Lazy heap: entries are claims, validated against slotExpiry at
-    // pop time. Compaction bounds the stale backlog; rebuilding from
-    // the authoritative arrays cannot change any observable result.
-    if (dueHeap.size() >
-        static_cast<size_t>(8 * cfg.maxWarpsPerSm + 64)) {
-        dueHeap.clear();
-        for (int i = 0; i < cfg.maxWarpsPerSm; ++i) {
-            if (slotActive[static_cast<size_t>(i)] &&
-                slotExpiry[static_cast<size_t>(i)] != kNoEvent)
-                dueHeap.push_back(
-                    {slotExpiry[static_cast<size_t>(i)], i});
-        }
-        std::make_heap(dueHeap.begin(), dueHeap.end(), HeapLater{});
-        if (slotExpiry[static_cast<size_t>(slot)] != kNoEvent)
-            return; // the rebuild already holds this slot's claim
+    slotExpiry[static_cast<size_t>(slot)] = at_cycle;
+    if (at_cycle == kNoEvent)
+        return;
+    const size_t word = static_cast<size_t>(slot / 64);
+    const uint64_t bit = uint64_t{1} << (slot % 64);
+    if (at_cycle <= lastSwept) {
+        dueNow[word] |= bit;
+    } else if (at_cycle - lastSwept < kWheel) {
+        wheel[(at_cycle % kWheel) * static_cast<size_t>(slotWords) +
+              word] |= bit;
+    } else {
+        farSlots[word] |= bit;
+        farMin = std::min(farMin, at_cycle);
     }
-    dueHeap.push_back({key, slot});
-    std::push_heap(dueHeap.begin(), dueHeap.end(), HeapLater{});
+}
+
+void
+Sm::sweepExpired(uint64_t cycle)
+{
+    const size_t words = static_cast<size_t>(slotWords);
+    uint64_t *due = dueScratch.data();
+    for (size_t w = 0; w < words; ++w) {
+        due[w] = dueNow[w];
+        dueNow[w] = 0;
+    }
+    if (cycle > lastSwept) {
+        // The buckets of cycles lastSwept+1 .. cycle (all of them
+        // after a long skip window).
+        const uint64_t span = std::min(cycle - lastSwept, kWheel);
+        for (uint64_t c = cycle - span + 1; c <= cycle; ++c) {
+            uint64_t *bucket = wheel.data() + (c % kWheel) * words;
+            for (size_t w = 0; w < words; ++w) {
+                due[w] |= bucket[w];
+                bucket[w] = 0;
+            }
+        }
+        lastSwept = cycle;
+    }
+    if (farMin <= cycle) {
+        farMin = kNoEvent;
+        for (size_t w = 0; w < words; ++w) {
+            for (uint64_t m = farSlots[w]; m; m &= m - 1) {
+                const int slot =
+                    static_cast<int>(w * 64) + std::countr_zero(m);
+                const uint64_t bit = uint64_t{1} << (slot % 64);
+                const uint64_t e = slotExpiry[static_cast<size_t>(slot)];
+                if (e == kNoEvent) {
+                    farSlots[w] &= ~bit; // stale: no expiry now
+                } else if (e <= cycle) {
+                    farSlots[w] &= ~bit;
+                    due[w] |= bit;
+                } else {
+                    farMin = std::min(farMin, e);
+                }
+            }
+        }
+    }
+    // Slot order fixes the chunk-refill order, which the trace-
+    // footprint peak sees. A bit whose slot has since moved its
+    // expiry past this cycle is stale (its new expiry has its own
+    // bit); a re-derived slot's expiry moves past the cycle, so a
+    // duplicate bit no-ops too.
+    for (size_t w = 0; w < words; ++w) {
+        for (uint64_t m = due[w]; m; m &= m - 1) {
+            const int slot = static_cast<int>(w * 64) + std::countr_zero(m);
+            if (slotExpiry[static_cast<size_t>(slot)] <= cycle)
+                reclassify(slot, cycle);
+        }
+    }
 }
 
 void
@@ -252,47 +298,44 @@ Sm::setReason(int slot, StallReason reason)
 void
 Sm::markDirty(int slot, uint64_t at_cycle)
 {
-    if (slotExpiry[static_cast<size_t>(slot)] > at_cycle) {
-        slotExpiry[static_cast<size_t>(slot)] = at_cycle;
-        pushDue(at_cycle, slot);
-    }
+    if (slotExpiry[static_cast<size_t>(slot)] > at_cycle)
+        setExpiry(slot, at_cycle);
 }
 
 void
 Sm::readyInsert(int slot)
 {
     const size_t i = static_cast<size_t>(slot);
-    const uint8_t kind = slotNeedsAlu[i] ? kReadyAlu
-                         : slotIsMem[i]  ? kReadyMem
-                                         : kReadyOther;
-    slotReadyKind[i] = kind;
-    auto &list = readyKind[kind][static_cast<size_t>(
-        slot % cfg.numSchedulers)];
-    const uint64_t age = slotAge[i];
-    size_t pos = list.size();
-    while (pos > 0 &&
-           slotAge[static_cast<size_t>(list[pos - 1])] > age)
-        --pos;
-    list.insert(list.begin() + static_cast<ptrdiff_t>(pos), slot);
-    for (size_t j = pos; j < list.size(); ++j)
-        readyPos[static_cast<size_t>(list[j])] =
-            static_cast<int>(j);
+    const int kind = slotNeedsAlu[i] ? kReadyAlu
+                     : slotIsMem[i]  ? kReadyMem
+                                     : kReadyOther;
+    slotReadyKind[i] = static_cast<int8_t>(kind);
+    const int rank = slotRank[i];
+    readyMask(kind, slot % cfg.numSchedulers)[rank / 64] |=
+        uint64_t{1} << (rank % 64);
 }
 
 void
 Sm::readyRemove(int slot)
 {
-    const int pos = readyPos[static_cast<size_t>(slot)];
-    if (pos < 0)
+    const size_t i = static_cast<size_t>(slot);
+    if (slotReadyKind[i] < 0)
         return;
-    auto &list = readyKind[slotReadyKind[static_cast<size_t>(slot)]]
-                          [static_cast<size_t>(
-                              slot % cfg.numSchedulers)];
-    list.erase(list.begin() + pos);
-    for (size_t j = static_cast<size_t>(pos); j < list.size(); ++j)
-        readyPos[static_cast<size_t>(list[j])] =
-            static_cast<int>(j);
-    readyPos[static_cast<size_t>(slot)] = -1;
+    const int rank = slotRank[i];
+    readyMask(slotReadyKind[i], slot % cfg.numSchedulers)[rank / 64] &=
+        ~(uint64_t{1} << (rank % 64));
+    slotReadyKind[i] = -1;
+}
+
+int
+Sm::oldestReady(int kind, int sched) const
+{
+    const uint64_t *bits = readyBits.data() + readyIndex(kind, sched);
+    for (int w = 0; w < rankWords; ++w) {
+        if (bits[w])
+            return w * 64 + std::countr_zero(bits[w]);
+    }
+    return kNoRank;
 }
 
 void
@@ -449,7 +492,7 @@ Sm::reclassify(int slot, uint64_t cycle)
     const size_t i = static_cast<size_t>(slot);
     setReason(slot, reason);
     slotUnblock[i] = unblock;
-    slotExpiry[i] = expiry;
+    setExpiry(slot, expiry);
     slotIsMem[i] = isMemOp(in.op) ? 1 : 0;
     slotNeedsAlu[i] = (in.op == Op::FP32 || in.op == Op::INT ||
                        in.op == Op::SFU)
@@ -457,13 +500,10 @@ Sm::reclassify(int slot, uint64_t cycle)
                           : 0;
     slotLanes[i] = static_cast<uint8_t>(in.activeLanes());
 
-    if (expiry != kNoEvent)
-        pushDue(expiry, slot);
-
     if (reason == StallReason::NotSelected) {
-        if (readyPos[i] < 0)
+        if (slotReadyKind[i] < 0)
             readyInsert(slot);
-    } else if (readyPos[i] >= 0) {
+    } else {
         readyRemove(slot);
     }
 }
@@ -494,14 +534,36 @@ Sm::finishWarp(int slot, uint64_t cycle)
     residentTraceBytes -= w.chunkBytes;
     w.chunkBytes = 0;
     slotActive[static_cast<size_t>(slot)] = 0;
+    slotExpiry[static_cast<size_t>(slot)] = kNoEvent;
     --stallCount[slotReason[static_cast<size_t>(slot)]];
     readyRemove(slot);
-    --residentBySched[static_cast<size_t>(slot % cfg.numSchedulers)];
+    // Drop the slot's rank: later ranks, and their mask bits, shift
+    // down by one.
+    const int sched = slot % cfg.numSchedulers;
+    auto &order = ageOrder[static_cast<size_t>(sched)];
+    const int rank = slotRank[static_cast<size_t>(slot)];
+    order.erase(order.begin() + rank);
+    for (size_t r = static_cast<size_t>(rank); r < order.size(); ++r)
+        slotRank[static_cast<size_t>(order[r])] = static_cast<int>(r);
+    for (int kind = 0; kind < 3; ++kind) {
+        uint64_t *bits = readyMask(kind, sched);
+        const int w0 = rank / 64;
+        const int b = rank % 64;
+        const uint64_t low = bits[w0] & ((uint64_t{1} << b) - 1);
+        const uint64_t high =
+            b == 63 ? 0 : (bits[w0] >> (b + 1)) << b;
+        bits[w0] = low | high;
+        for (int w = w0 + 1; w < rankWords; ++w) {
+            bits[w - 1] |= (bits[w] & 1) << 63;
+            bits[w] >>= 1;
+        }
+    }
     --residentWarps;
     CtaCtx &cta = ctas[static_cast<size_t>(w.cta)];
     --cta.liveWarps;
     if (cta.liveWarps == 0) {
         cta.active = false;
+        --activeCtas;
         if (sampleRecords)
             sampleRecords->push_back(
                 {cta.ctaId, cta.startCycle, cycle, cta.instrs});
@@ -651,6 +713,7 @@ Sm::stepCycle(uint64_t cycle, uint64_t &next_event)
         next_event = std::min(next_event, cycle + 1);
     }
 
+    lastStepEmpty = residentWarps == 0;
     if (residentWarps == 0) {
         // Nothing resident: schedulers idle.
         lastStall.fill(0);
@@ -683,7 +746,7 @@ Sm::stepCycle(uint64_t cycle, uint64_t &next_event)
  *     cached classifications (and refilling their trace chunks —
  *     slot order fixes the refill order the footprint peak sees);
  *  B. per-scheduler issue from the incrementally maintained
- *     per-port ready lists (GTO: sticky first, else the oldest
+ *     per-port ready masks (GTO: sticky first, else the oldest
  *     free-port head; LRR: rotation over the scheduler's fixed
  *     slot positions);
  *  C. stall/occupancy accounting from the incremental class census,
@@ -698,43 +761,20 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
 {
     lastOcc.fill(0);
 
-    // Stage A: drain every due expiry claim and re-derive those
-    // classifications in slot-index order (slot order fixes the
-    // chunk-refill order, which the trace-footprint peak sees).
-    // Last cycle's issued slots are due by construction and skip
-    // the heap entirely.
-    dueSlots.clear();
-    for (const int slot : issuedRecheck) {
-        if (slotActive[static_cast<size_t>(slot)] &&
-            slotExpiry[static_cast<size_t>(slot)] <= cycle)
-            dueSlots.push_back(slot);
-    }
-    issuedRecheck.clear();
-    while (!dueHeap.empty() && dueHeap.front().key <= cycle) {
-        const int slot = dueHeap.front().slot;
-        std::pop_heap(dueHeap.begin(), dueHeap.end(), HeapLater{});
-        dueHeap.pop_back();
-        if (slotActive[static_cast<size_t>(slot)] &&
-            slotExpiry[static_cast<size_t>(slot)] <= cycle)
-            dueSlots.push_back(slot);
-    }
-    if (dueSlots.size() > 1)
-        std::sort(dueSlots.begin(), dueSlots.end());
-    for (const int slot : dueSlots) {
-        // Duplicate claims resolve here: the first visit raises the
-        // expiry past `cycle`, later ones no-op.
-        if (slotExpiry[static_cast<size_t>(slot)] <= cycle)
-            reclassify(slot, cycle);
-    }
+    // Stage A: re-derive every expired classification, in slot-index
+    // order.
+    sweepExpired(cycle);
 
     // MSHR-gated warps — memory heads nothing else blocks, i.e. the
-    // memory ready lists — are NotSelected or MshrFull by the L1 MSHR
+    // memory ready masks — are NotSelected or MshrFull by the L1 MSHR
     // table alone. One table read settles them all for the cycle:
     // the reference classifies every warp before any issue, so a full
     // table makes them MshrFull and never candidates.
     uint64_t mshr_gated = 0;
-    for (const auto &list : readyKind[kReadyMem])
-        mshr_gated += list.size();
+    for (const uint64_t *bits = readyMask(kReadyMem, 0),
+                        *end = bits + cfg.numSchedulers * rankWords;
+         bits != end; ++bits)
+        mshr_gated += static_cast<uint64_t>(std::popcount(*bits));
     const bool mshr_full = mshr_gated > 0 && !l1Mshr.ready(cycle);
 
     bool issued_any = false;
@@ -765,8 +805,7 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
             // need a chunk refill then).
             if (slotActive[i]) {
                 setReason(slot, StallReason::Issued);
-                slotExpiry[i] = cycle + 1;
-                issuedRecheck.push_back(slot);
+                setExpiry(slot, cycle + 1);
             }
             readyRemove(slot);
             issued = true;
@@ -785,16 +824,16 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
         if (cfg.scheduler == SchedulerPolicy::Gto) {
             // The reference attempts sticky first, then candidates
             // oldest-to-youngest, stopping at the first whose port
-            // is free. With the ready lists segregated by port, that
+            // is free. With the ready masks segregated by port, that
             // first-issuable candidate is an O(1) head comparison,
             // and the candidates the reference would have attempted
-            // and rejected before it are exactly the busy-port list
+            // and rejected before it are exactly the busy-port mask
             // heads that are older (hazard merges are idempotent per
             // port, so heads stand in for all attempted members).
             int pick = -1;
             const int sticky = greedyWarp[ss];
             if (sticky >= 0 &&
-                readyPos[static_cast<size_t>(sticky)] >= 0 &&
+                slotReadyKind[static_cast<size_t>(sticky)] >= 0 &&
                 !(mshr_full &&
                   slotIsMem[static_cast<size_t>(sticky)] != 0)) {
                 const size_t i = static_cast<size_t>(sticky);
@@ -806,39 +845,25 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
                     pick = sticky; // sticky wins outright
             }
             if (pick < 0) {
-                const auto &ra = readyKind[kReadyAlu][ss];
-                const auto &rm = readyKind[kReadyMem][ss];
-                const bool mem_candidates = !mshr_full && !rm.empty();
-                const auto &ro = readyKind[kReadyOther][ss];
-                uint64_t pick_age = kNoEvent;
-                if (!alu_busy && !ra.empty()) {
-                    pick = ra.front();
-                    pick_age =
-                        slotAge[static_cast<size_t>(pick)];
-                }
-                if (!lsu_busy && mem_candidates &&
-                    slotAge[static_cast<size_t>(rm.front())] <
-                        pick_age) {
-                    pick = rm.front();
-                    pick_age =
-                        slotAge[static_cast<size_t>(pick)];
-                }
-                if (!ro.empty() &&
-                    slotAge[static_cast<size_t>(ro.front())] <
-                        pick_age) {
-                    pick = ro.front();
-                    pick_age =
-                        slotAge[static_cast<size_t>(pick)];
-                }
+                // Lower rank = older warp.
+                const int ra = oldestReady(kReadyAlu, s);
+                const int rm =
+                    mshr_full ? kNoRank : oldestReady(kReadyMem, s);
+                const int ro = oldestReady(kReadyOther, s);
+                int pick_rank = kNoRank;
+                if (!alu_busy && ra < pick_rank)
+                    pick_rank = ra;
+                if (!lsu_busy && rm < pick_rank)
+                    pick_rank = rm;
+                if (ro < pick_rank)
+                    pick_rank = ro;
+                if (pick_rank != kNoRank)
+                    pick = ageOrder[ss][static_cast<size_t>(pick_rank)];
                 // Blocked candidates older than the pick (all of
                 // them when nothing is issuable) were attempted.
-                if (alu_busy && !ra.empty() &&
-                    slotAge[static_cast<size_t>(ra.front())] <
-                        pick_age)
+                if (alu_busy && ra < pick_rank)
                     blocked_attempt(true);
-                if (lsu_busy && mem_candidates &&
-                    slotAge[static_cast<size_t>(rm.front())] <
-                        pick_age)
+                if (lsu_busy && rm < pick_rank)
                     blocked_attempt(false);
             }
             if (pick >= 0) {
@@ -873,7 +898,7 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
         }
 
         if (!issued) {
-            const bool has_warp = residentBySched[ss] > 0;
+            const bool has_warp = !ageOrder[ss].empty();
             const OccBucket b = (structural && has_warp)
                                     ? OccBucket::Stall
                                     : OccBucket::Idle;
@@ -1131,6 +1156,17 @@ Sm::accountExtra(uint64_t delta)
     stats->schedulerSlots +=
         static_cast<uint64_t>(cfg.numSchedulers) * delta;
     stats->fastForwardCycles += delta;
+}
+
+void
+Sm::replaySteps(uint64_t steps)
+{
+    // A frozen SM's step is accountExtra(1); an empty SM's step adds
+    // the idle pattern (already in lastStall/lastOcc) but is not a
+    // fast-forwarded cycle.
+    accountExtra(steps);
+    if (residentWarps == 0)
+        stats->fastForwardCycles -= steps;
 }
 
 } // namespace gsuite

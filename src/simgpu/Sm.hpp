@@ -15,14 +15,14 @@
  * at `slotExpiry` (the earliest cycle the cached class could read
  * differently) or after an explicit state change (issue, memory
  * completion, barrier release, CTA assignment). The per-cycle work
- * is event-driven: expired classifications drain from a lazy
- * min-heap and re-derive in a batched slot-order sweep, schedulers
+ * is event-driven: expired classifications come due from a small
+ * calendar of expiry cycles and re-derive in slot order, schedulers
  * issue in O(1) from incrementally maintained per-port ready
- * lists, and the Fig. 6 stall attribution comes from incrementally
- * maintained per-class counts — no per-warp virtual-register
- * scoreboard walk per cycle (the earliest stall-clear event is
- * swept only on no-issue cycles, each of which opens a
- * fast-forward window). Ready memory-head warps, whose class
+ * masks over age ranks, and the Fig. 6 stall attribution comes
+ * from incrementally maintained per-class counts — no per-warp
+ * virtual-register scoreboard walk per cycle (the earliest
+ * stall-clear event is swept only on no-issue cycles, each of
+ * which opens a fast-forward window). Ready memory-head warps, whose class
  * depends only on the L1 MSHR table, share one table read per
  * cycle instead of being re-derived whenever it fills or drains.
  * The pre-SoA path is kept verbatim behind
@@ -35,8 +35,10 @@
  * cycle is known, the SM freezes until the earliest of them
  * (idleUntil) and replays its last classification via
  * accountExtra(), attributing the skipped cycles to the same
- * Fig. 6 stall classes / Fig. 7 buckets. The simulator performs
- * the same bulk accounting across SMs when the whole GPU stalls.
+ * Fig. 6 stall classes / Fig. 7 buckets. The simulator does not
+ * even call a frozen or empty SM (wakeCycle()) and settles the
+ * skipped calls in bulk (replaySteps()); it performs the same bulk
+ * accounting across SMs when the whole GPU stalls.
  *
  * Concurrency contract: one SM is only ever touched by its owning
  * worker thread during the step phase. Global-memory instructions are
@@ -55,6 +57,7 @@
 #ifndef GSUITE_SIMGPU_SM_HPP
 #define GSUITE_SIMGPU_SM_HPP
 
+#include <algorithm>
 #include <array>
 #include <bitset>
 #include <cstdint>
@@ -91,7 +94,7 @@ class Sm
                          nullptr);
 
     /** True if another CTA can become resident. */
-    bool hasFreeCtaSlot() const;
+    bool hasFreeCtaSlot() const { return activeCtas < maxResidentCtas; }
 
     /**
      * Make CTA @p cta_id resident. Cheap: warp trace streams are only
@@ -120,6 +123,30 @@ class Sm
      * the last stepCycle() (used to fast-forward long stalls).
      */
     void accountExtra(uint64_t delta);
+
+    /**
+     * The first cycle after @p cycle — the cycle just stepped — at
+     * which stepCycle() does more than replay the last
+     * classification; ~0 when only a CTA assignment can change this
+     * SM. Until then stepCycle() may be skipped: replaySteps() then
+     * accounts the skipped calls, and the SM's contribution to the
+     * merged next event is this cycle itself.
+     */
+    uint64_t
+    wakeCycle(uint64_t cycle) const
+    {
+        if (parkedWarp >= 0 || (residentWarps == 0 && !lastStepEmpty))
+            return cycle + 1;
+        if (residentWarps == 0)
+            return ~uint64_t{0};
+        return std::max(idleUntil, cycle + 1);
+    }
+
+    /**
+     * Account @p steps skipped stepCycle() calls of a frozen or empty
+     * SM, exactly as those calls would have (see wakeCycle()).
+     */
+    void replaySteps(uint64_t steps);
 
     /**
      * Fold an unconsumed parked memory access into warp state and
@@ -204,6 +231,9 @@ class Sm
     uint64_t lsuFree = 0;
     int residentWarps = 0;
     int maxResidentCtas = 0;
+    int activeCtas = 0;
+    /** The last stepCycle() found no resident warp (idle pattern). */
+    bool lastStepEmpty = false;
     uint64_t ageCounter = 0;
 
     // --- SoA warp-issue state (fast path) ---------------------------
@@ -219,49 +249,58 @@ class Sm
     std::vector<uint8_t> slotReason;   ///< cached StallReason
     std::vector<uint64_t> slotUnblock; ///< cycle the stall clears
     std::vector<uint64_t> slotExpiry;  ///< first cycle cache can drift
-    std::vector<uint64_t> slotAge;     ///< ageStamp copy (GTO order)
     std::vector<uint8_t> slotIsMem;    ///< head instr needs the LSU
     std::vector<uint8_t> slotNeedsAlu; ///< head instr needs the ALU
     std::vector<uint8_t> slotLanes;    ///< head instr active lanes
     /**
      * Ready (issuable) slots per scheduler, segregated by the
      * execution port the head instruction needs (kReadyAlu /
-     * kReadyMem / kReadyOther) and kept sorted by ageStamp
-     * ascending. A whole busy port disqualifies its entire list, so
+     * kReadyMem / kReadyOther), as bit masks over the scheduler's
+     * age ranks — so the oldest ready slot of a port is the lowest
+     * set bit. A whole busy port disqualifies its entire mask, so
      * GTO's pick is an O(1) head comparison across the eligible
-     * lists instead of attempting every blocked candidate; the
-     * blocked lists' head ages still tell exactly which reference
+     * masks instead of attempting every blocked candidate; the
+     * blocked masks' head ranks still tell exactly which reference
      * attempts would have happened (for the structural-stall flag
      * and hazard event merges, which are idempotent per port). A
-     * full L1 MSHR table hides the kReadyMem lists altogether:
+     * full L1 MSHR table hides the kReadyMem masks altogether:
      * their warps are MshrFull that cycle, not candidates.
      */
-    std::array<std::vector<std::vector<int>>, 3> readyKind;
     static constexpr int kReadyAlu = 0;
     static constexpr int kReadyMem = 1;
     static constexpr int kReadyOther = 2;
-    std::vector<int> readyPos; ///< slot -> index in its list, -1 none
-    std::vector<uint8_t> slotReadyKind; ///< list a ready slot is in
-    std::vector<int> residentBySched; ///< resident warps / scheduler
+    static constexpr int kNoRank = 1 << 30;
     /**
-     * Slots that issued this cycle: cheaper than a heap round-trip
-     * for the guaranteed next-cycle re-classification.
+     * Per scheduler: its resident slots in ascending ageStamp order
+     * (a slot's index here is its rank). CTA assignment appends the
+     * youngest warps; a finished warp's removal shifts the later
+     * ranks down.
      */
-    std::vector<int> issuedRecheck;
-
+    std::vector<std::vector<int>> ageOrder;
+    std::vector<int> slotRank; ///< slot -> rank in its scheduler
+    int rankWords = 1;         ///< 64-bit words per rank mask
+    /** Masks by rank, index ((kind * ns) + sched) * rankWords + word. */
+    std::vector<uint64_t> readyBits;
+    std::vector<int8_t> slotReadyKind; ///< mask a slot is in, -1 none
     /**
-     * Lazy min-heap entry: a (cycle, slot) claim that something about
-     * the slot happens at `key`. Entries are never searched or
-     * removed in place — a popped/peeked entry is re-validated
-     * against the authoritative SoA arrays and discarded when stale.
+     * Expiry calendar: every slotExpiry assignment also sets the
+     * slot's bit in the set that covers its cycle — `dueNow` when it
+     * is at or before `lastSwept`, the wheel bucket (cycle mod
+     * kWheel) when it falls in the next kWheel cycles, else
+     * `farSlots` (with `farMin` its earliest). A sweep gathers the
+     * buckets of the cycles since `lastSwept` and re-derives the
+     * gathered slots whose expiry is due; a bit left behind by a
+     * later expiry change is dropped there. Masks are `slotWords`
+     * 64-bit words over slot indices.
      */
-    struct EventEntry {
-        uint64_t key;
-        int slot;
-    };
-    /** Expiry claims: pop everything <= cycle, reclassify. */
-    std::vector<EventEntry> dueHeap;
-    std::vector<int> dueSlots; ///< per-cycle scratch (sorted sweep)
+    static constexpr uint64_t kWheel = 64;
+    int slotWords = 1;
+    std::vector<uint64_t> wheel; ///< kWheel buckets x slotWords
+    std::vector<uint64_t> dueNow;
+    std::vector<uint64_t> farSlots;
+    std::vector<uint64_t> dueScratch;
+    uint64_t farMin = 0;
+    uint64_t lastSwept = 0;
     /** Active slots per cached stall class (incremental Fig. 6). */
     std::array<uint64_t, kNumStallReasons> stallCount{};
 
@@ -299,7 +338,21 @@ class Sm
     void markDirty(int slot, uint64_t at_cycle);
     void readyInsert(int slot);
     void readyRemove(int slot);
-    void pushDue(uint64_t key, int slot);
+    /** First word of @p kind's rank mask on scheduler @p sched. */
+    size_t readyIndex(int kind, int sched) const
+    {
+        return static_cast<size_t>((kind * cfg.numSchedulers + sched) *
+                                   rankWords);
+    }
+    uint64_t *readyMask(int kind, int sched)
+    {
+        return readyBits.data() + readyIndex(kind, sched);
+    }
+    /** Lowest set rank of @p kind's mask on @p sched, or kNoRank. */
+    int oldestReady(int kind, int sched) const;
+    void setExpiry(int slot, uint64_t at_cycle);
+    /** Re-derive every slot whose expiry is due at @p cycle. */
+    void sweepExpired(uint64_t cycle);
     void setReason(int slot, StallReason reason);
     void reclassify(int slot, uint64_t cycle);
     bool stepCycleFast(uint64_t cycle, uint64_t &next_event);

@@ -190,7 +190,9 @@ ResultStore::toCsv(const std::string &path,
 
 void
 ResultStore::toJson(const std::string &path,
-                    const std::map<std::string, double> &meta) const
+                    const std::map<std::string, double> &meta,
+                    const std::map<std::string, std::string> &text_meta)
+    const
 {
     if (path.empty())
         return;
@@ -211,6 +213,12 @@ ResultStore::toJson(const std::string &path,
         for (const auto &[key, value] : meta) {
             std::fprintf(f, "%s\"%s\": %.6g", first ? "" : ", ",
                          jsonEscape(key).c_str(), value);
+            first = false;
+        }
+        for (const auto &[key, value] : text_meta) {
+            std::fprintf(f, "%s\"%s\": \"%s\"", first ? "" : ", ",
+                         jsonEscape(key).c_str(),
+                         jsonEscape(value).c_str());
             first = false;
         }
     }

@@ -96,11 +96,14 @@ class ResultStore
     /**
      * JSON dump: per-point identity, end-to-end stats with the
      * underlying per-run samples, custom metrics, and per-class sim
-     * statistics. @p meta lands in a top-level "meta" object.
-     * fatal() on I/O error; empty path = no-op.
+     * statistics. @p meta (numbers) and @p text_meta (strings) land
+     * in a top-level "meta" object. fatal() on I/O error; empty
+     * path = no-op.
      */
     void toJson(const std::string &path,
-                const std::map<std::string, double> &meta = {}) const;
+                const std::map<std::string, double> &meta = {},
+                const std::map<std::string, std::string> &text_meta =
+                    {}) const;
 
   private:
     std::vector<SweepResult> results;

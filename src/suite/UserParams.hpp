@@ -102,8 +102,10 @@ struct UserParams {
     bool memPlan = false;
 
     /**
-     * Worker threads per simulated launch (0 = auto). Statistics are
-     * bit-identical for every value.
+     * Worker threads per simulated launch (0 = auto: one SM thread
+     * per launch, see SimOptions::numThreads; the cache profiler
+     * resolves its own auto count). Statistics are bit-identical for
+     * every value.
      */
     int simThreads = 0;
     /**

@@ -19,8 +19,10 @@
 #include "kernels/Elementwise.hpp"
 #include "memplan/MemPlan.hpp"
 #include "hwdb/FaultPlan.hpp"
+#include "hwdb/HwPresets.hpp"
 #include "models/GnnModel.hpp"
 #include "models/Reference.hpp"
+#include "profiler/HwProfiler.hpp"
 #include "serving/RequestStream.hpp"
 #include "serving/ServingScheduler.hpp"
 #include "simgpu/GpuSimulator.hpp"
@@ -166,11 +168,213 @@ class ScanMshrTable
     }
 };
 
+/**
+ * Array-of-structs cache: the straightforward model the flat Cache
+ * must agree with on every hit, ready cycle and victim — its set
+ * index masks and its tag divides exactly like the original, so
+ * non-power-of-two set counts alias the same way.
+ */
+class ScanCache
+{
+  public:
+    explicit ScanCache(const CacheGeometry &geometry)
+        : geo(geometry), numSets(geometry.numSets()),
+          lines(static_cast<size_t>(numSets) *
+                static_cast<size_t>(geometry.assoc))
+    {
+    }
+
+    CacheProbe
+    probe(uint64_t addr, uint64_t now)
+    {
+        Line *line = findLine(addr);
+        if (!line)
+            return {};
+        const int sector = sectorOf(addr);
+        if (!(line->sectorValid & (1u << sector)))
+            return {};
+        line->lastUse = now;
+        return {true, line->sectorReady[sector]};
+    }
+
+    void
+    fill(uint64_t addr, uint64_t now, uint64_t ready)
+    {
+        Line *line = findLine(addr);
+        if (!line) {
+            // Evict the LRU way of the set.
+            Line *set = &lines[static_cast<size_t>(setOf(addr)) *
+                               static_cast<size_t>(geo.assoc)];
+            line = &set[0];
+            for (int w = 1; w < geo.assoc; ++w) {
+                if (set[w].tag == kInvalidTag) {
+                    line = &set[w];
+                    break;
+                }
+                if (set[w].lastUse < line->lastUse)
+                    line = &set[w];
+            }
+            line->tag = tagOf(addr);
+            line->sectorValid = 0;
+        }
+        const int sector = sectorOf(addr);
+        line->sectorValid |= 1u << sector;
+        line->sectorReady[sector] = ready;
+        line->lastUse = now;
+    }
+
+    void
+    flush()
+    {
+        for (auto &line : lines)
+            line = Line{};
+    }
+
+  private:
+    static constexpr uint64_t kInvalidTag = ~uint64_t{0};
+    static constexpr int kMaxSectors = 8;
+
+    struct Line {
+        uint64_t tag = kInvalidTag;
+        uint32_t sectorValid = 0;
+        uint64_t sectorReady[kMaxSectors] = {};
+        uint64_t lastUse = 0;
+    };
+
+    CacheGeometry geo;
+    int numSets;
+    std::vector<Line> lines; ///< numSets x assoc
+
+    uint64_t
+    tagOf(uint64_t addr) const
+    {
+        return addr / static_cast<uint64_t>(geo.lineBytes) /
+               static_cast<uint64_t>(numSets);
+    }
+
+    int
+    setOf(uint64_t addr) const
+    {
+        return static_cast<int>(
+            (addr / static_cast<uint64_t>(geo.lineBytes)) &
+            static_cast<uint64_t>(numSets - 1));
+    }
+
+    int
+    sectorOf(uint64_t addr) const
+    {
+        return static_cast<int>(
+            (addr % static_cast<uint64_t>(geo.lineBytes)) /
+            static_cast<uint64_t>(geo.sectorBytes));
+    }
+
+    Line *
+    findLine(uint64_t addr)
+    {
+        const uint64_t tag = tagOf(addr);
+        Line *set = &lines[static_cast<size_t>(setOf(addr)) *
+                           static_cast<size_t>(geo.assoc)];
+        for (int w = 0; w < geo.assoc; ++w) {
+            if (set[w].tag == tag)
+                return &set[w];
+        }
+        return nullptr;
+    }
+};
+
 } // namespace
 
 class FuzzSeeds : public ::testing::TestWithParam<uint64_t>
 {
 };
+
+/**
+ * The flat Cache against the array-of-structs model on every
+ * geometry the suite builds: each hwdb preset's L1 and L2 slice, and
+ * the profiler's default L1 and 3072-set L2 (whose masked set index
+ * aliases line 1024 onto line 0). Random probe / fill / access /
+ * flush streams over a few conflicting sets, with non-monotone
+ * times, fills at cycle 0 and LRU ties. Every hit and ready cycle
+ * must match.
+ */
+TEST_P(FuzzSeeds, CacheMatchesArrayOfStructsOracle)
+{
+    std::vector<std::pair<std::string, CacheGeometry>> geos;
+    for (const HwPreset &p : hwPresets()) {
+        CacheGeometry slice = p.config.l2;
+        slice.sizeBytes /= static_cast<uint64_t>(p.config.numL2Slices);
+        geos.push_back({p.name + " L1", p.config.l1d});
+        geos.push_back({p.name + " L2 slice", slice});
+    }
+    const HwProfilerConfig prof;
+    geos.push_back({"profiler L1", prof.l1});
+    geos.push_back({"profiler L2", prof.l2});
+
+    Rng rng(GetParam() * 7919 + 3);
+    for (const auto &[name, geo] : geos) {
+        SCOPED_TRACE(name);
+        Cache cache(geo);
+        ScanCache oracle(geo);
+        const uint64_t sets = static_cast<uint64_t>(geo.numSets());
+        const uint64_t line_bytes = static_cast<uint64_t>(geo.lineBytes);
+        // A few home sets, each with more candidate lines than ways;
+        // the 1024-line stride exercises the masked-index aliasing.
+        const uint64_t homes[3] = {0, rng.nextBelow(sets),
+                                   rng.nextBelow(sets)};
+        const uint64_t per_set =
+            static_cast<uint64_t>(geo.assoc) + 1 + rng.nextBelow(4);
+        uint64_t now = 50;
+        for (int op = 0; op < 2000; ++op) {
+            SCOPED_TRACE(testing::Message() << "op " << op);
+            const uint64_t home = homes[rng.nextBelow(3)];
+            const uint64_t line =
+                rng.nextBool(0.2)
+                    ? home + 1024 * rng.nextBelow(4)
+                    : home + sets * rng.nextBelow(per_set);
+            const uint64_t addr =
+                line * line_bytes +
+                rng.nextBelow(line_bytes); // any sector, any byte
+            now += rng.nextBelow(3);
+            uint64_t at = now;
+            const uint64_t pick = rng.nextBelow(10);
+            if (pick == 0)
+                at = 0; // a fill or touch at cycle 0
+            else if (pick < 3)
+                at = now > 30 ? now - rng.nextBelow(30) : now; // ties
+            const uint64_t kind = rng.nextBelow(100);
+            if (kind < 40) {
+                const CacheProbe a = cache.probe(addr, at);
+                const CacheProbe b = oracle.probe(addr, at);
+                ASSERT_EQ(a.hit, b.hit);
+                if (a.hit) {
+                    ASSERT_EQ(a.ready, b.ready);
+                }
+            } else if (kind < 75) {
+                const uint64_t ready = at + rng.nextBelow(400);
+                cache.fill(addr, at, ready);
+                oracle.fill(addr, at, ready);
+            } else if (kind < 99 || rng.nextBool(0.5)) {
+                const bool fill = rng.nextBool(0.7);
+                const bool hit = oracle.probe(addr, at).hit;
+                if (!hit && fill)
+                    oracle.fill(addr, at, at);
+                ASSERT_EQ(cache.access(addr, at, fill), hit);
+            } else {
+                cache.flush();
+                oracle.flush();
+            }
+        }
+        // Every candidate line of the home sets, one last time.
+        for (const uint64_t home : homes)
+            for (uint64_t k = 0; k < per_set; ++k)
+                ASSERT_EQ(cache.probe((home + sets * k) * line_bytes,
+                                      now)
+                              .hit,
+                          oracle.probe((home + sets * k) * line_bytes,
+                                       now)
+                              .hit);
+    }
+}
 
 /**
  * The incremental MshrTable against the linear-scan model under
@@ -206,7 +410,29 @@ TEST_P(FuzzSeeds, MshrTableMatchesLinearScanOracle)
         SCOPED_TRACE(testing::Message() << "op " << op);
         now += rng.nextBelow(3);
         const uint64_t kind = rng.nextBelow(100);
-        if (kind < 40) {
+        if (kind < 8) {
+            // A burst on one line past the merge cap: the line ends up
+            // in several entries, and every later merge must pick the
+            // lowest-index one still under the cap.
+            const uint64_t line = rng.nextBelow(lines);
+            const int burst =
+                2 + static_cast<int>(rng.nextBelow(
+                        static_cast<uint64_t>(3 * cfg.maxMerges)));
+            for (int b = 0; b < burst; ++b) {
+                uint64_t at = some_time();
+                uint64_t oracle_at = at;
+                const int got = table.acquire(line, at);
+                ASSERT_EQ(got, oracle.acquire(line, oracle_at));
+                ASSERT_EQ(at, oracle_at);
+                if (got >= 0)
+                    claimed.push_back(got);
+                if (got >= 0 && rng.nextBool(0.3)) {
+                    const uint64_t when = now + rng.nextBelow(60);
+                    table.release(got, when);
+                    oracle.release(got, when);
+                }
+            }
+        } else if (kind < 40) {
             const uint64_t line = rng.nextBelow(lines);
             uint64_t at = some_time();
             uint64_t oracle_at = at;

@@ -261,7 +261,9 @@ TEST(RequestStream, GenerationIsThreadInvariant)
         plan.events(2'000'000);
 
     ThreadPool pool(4);
-    std::vector<bool> match(8, false);
+    // One byte per task: std::vector<bool> packs neighbours into one
+    // word, so concurrent writes to it race.
+    std::vector<char> match(8, 0);
     pool.parallelFor(match.size(), [&](size_t i, int) {
         match[i] =
             generateArrivals(spec, profiles, 2'000'000, 11) ==

@@ -17,6 +17,7 @@
 #include "simgpu/KernelLaunch.hpp"
 #include "simgpu/MemLevel.hpp"
 #include "simgpu/MemorySystem.hpp"
+#include "simgpu/Sm.hpp"
 #include "simgpu/Trace.hpp"
 
 using namespace gsuite;
@@ -170,6 +171,43 @@ TEST(CacheModel, FlushInvalidates)
     c.fill(0x40, 1, 1);
     c.flush();
     EXPECT_FALSE(c.probe(0x40, 2).hit);
+}
+
+TEST(CacheModel, FlushResetsEveryTouchedSetAndLru)
+{
+    // 2-way, 4 sets. After a flush the cache behaves like a new one:
+    // the first fill of a set goes to way 1, the next to way 0.
+    Cache c(CacheGeometry{1024, 128, 32, 2, false});
+    Cache fresh(CacheGeometry{1024, 128, 32, 2, false});
+    for (uint64_t a = 0; a < 16 * 128; a += 32)
+        c.fill(a, a, a);
+    c.flush();
+    const uint64_t stride = 4 * 128;
+    for (Cache *k : {&c, &fresh}) {
+        k->fill(0, 5, 5);
+        k->fill(stride, 5, 5); // LRU tie with the first line
+        k->fill(2 * stride, 6, 6);
+    }
+    for (uint64_t a : {uint64_t{0}, stride, 2 * stride, 3 * stride})
+        EXPECT_EQ(c.probe(a, 9).hit, fresh.probe(a, 9).hit) << a;
+    EXPECT_FALSE(c.probe(128, 9).hit); // another set: flushed
+}
+
+TEST(CacheModel, AccessIsProbeThenFill)
+{
+    Cache c(CacheGeometry{1024, 128, 32, 2, false});
+    Cache ref(CacheGeometry{1024, 128, 32, 2, false});
+    const uint64_t stride = 4 * 128;
+    const uint64_t addrs[] = {0, stride, 0, 2 * stride, 32, stride, 0};
+    uint64_t now = 0;
+    for (const uint64_t a : addrs) {
+        ++now;
+        const bool fill = now % 3 != 0;
+        const bool hit = ref.probe(a, now).hit;
+        if (!hit && fill)
+            ref.fill(a, now, now);
+        EXPECT_EQ(c.access(a, now, fill), hit) << "step " << now;
+    }
 }
 
 TEST(MshrTable, MergeReusesEntryAndRevertsToPending)
@@ -568,6 +606,161 @@ TEST(Simulator, MaxCtasCapScalesTime)
     EXPECT_EQ(st.ctasSimulated, 4);
     EXPECT_DOUBLE_EQ(st.samplingFactor(), 4.0);
     EXPECT_GT(st.timeMs(1.0), 0.0);
+}
+
+TEST(Simulator, AutoThreadsMeansOneSmThread)
+{
+    GpuSimulator sim(GpuConfig::v100Sim());
+    SimOptions opts;
+    EXPECT_EQ(opts.numThreads, 0);
+    EXPECT_EQ(sim.resolveThreads(opts), 1);
+    opts.numThreads = 3;
+    EXPECT_EQ(sim.resolveThreads(opts), 3);
+    opts.numThreads = 1000; // clamped to the SM count
+    EXPECT_EQ(sim.resolveThreads(opts), sim.config().numSms);
+}
+
+namespace {
+
+/**
+ * Loads with long latencies (so SMs freeze), stores, an atomic and an
+ * ALU chain; warps of different CTAs touch different lines.
+ */
+KernelLaunch
+mixedMemLaunch(int64_t ctas)
+{
+    KernelLaunch l;
+    l.name = "mixed";
+    l.kind = KernelClass::Aux;
+    l.dims.numCtas = ctas;
+    l.dims.threadsPerCta = 64;
+    l.streamTrace = [](int64_t cta, int warp) {
+        return WarpTraceStream([=](TraceBuilder &b) {
+            std::array<uint64_t, 32> a{};
+            for (int k = 0; k < 3; ++k) {
+                for (int i = 0; i < 32; ++i)
+                    a[static_cast<size_t>(i)] =
+                        0x100000ull * static_cast<uint64_t>(1 + cta) +
+                        4096ull * static_cast<uint64_t>(k) +
+                        (warp % 2 ? 128ull : 4ull) *
+                            static_cast<uint64_t>(i);
+                const Reg r = b.load({a.data(), 32});
+                b.aluChain(Op::FP32, 3 + warp);
+                b.alu(Op::FP32, r);
+                b.store({a.data(), 8}, r);
+            }
+            b.atomic({a.data(), 4}, kNoReg);
+            b.aluChain(Op::INT, 5);
+            b.exit();
+            return true;
+        });
+    };
+    return l;
+}
+
+} // namespace
+
+/**
+ * GpuSimulator skips a frozen or empty SM's steps until its wake cycle
+ * and replays them in bulk (Sm::wakeCycle / Sm::replaySteps). An SM
+ * stepped on every cycle must end with the same statistics — the
+ * frozen replays count as fast-forwarded cycles, the empty ones not.
+ */
+TEST(Simulator, SkippedStepsReplayLikeSteppedOnes)
+{
+    const GpuConfig cfg = tinyNoSampling();
+    const KernelLaunch l = mixedMemLaunch(6);
+    for (const bool idle_skip : {true, false}) {
+        SCOPED_TRACE(idle_skip ? "idle skip" : "no idle skip");
+        MemorySystem mem_every(cfg), mem_due(cfg);
+        Sm every(cfg, 0, mem_every), due(cfg, 0, mem_due);
+        KernelStats st_every, st_due;
+        every.beginLaunch(&l, &st_every, 64, idle_skip);
+        due.beginLaunch(&l, &st_due, 64, idle_skip);
+        int64_t next_every = 0, next_due = 0;
+        uint64_t wake = 0, skipped = 0, skipped_total = 0;
+        uint64_t cycle = 0;
+        uint64_t idle_cycles = 0;
+        for (; idle_cycles < 40; ++cycle) {
+            ASSERT_LT(cycle, 200000u) << "launch did not drain";
+            // Control phase of the previous cycle: assign CTAs.
+            while (next_every < l.dims.numCtas && every.hasFreeCtaSlot())
+                every.assignCta(next_every++, cycle);
+            if (next_due < l.dims.numCtas && due.hasFreeCtaSlot()) {
+                due.replaySteps(skipped);
+                skipped = 0;
+                wake = 0;
+                while (next_due < l.dims.numCtas &&
+                       due.hasFreeCtaSlot())
+                    due.assignCta(next_due++, cycle);
+            }
+            uint64_t ev_every = ~uint64_t{0}, ev_due = ~uint64_t{0};
+            const bool issued_every = every.stepCycle(cycle, ev_every);
+            bool issued_due = false;
+            if (wake > cycle) {
+                ++skipped;
+                ++skipped_total;
+                ev_due = wake;
+            } else {
+                due.replaySteps(skipped);
+                skipped = 0;
+                issued_due = due.stepCycle(cycle, ev_due);
+                wake = due.wakeCycle(cycle);
+            }
+            ASSERT_EQ(issued_every, issued_due) << "cycle " << cycle;
+            ASSERT_EQ(ev_every, ev_due) << "cycle " << cycle;
+            for (int s = 0; s < mem_every.numSlices(); ++s) {
+                mem_every.resolveSlice(s);
+                mem_due.resolveSlice(s);
+            }
+            const bool drained =
+                next_every == l.dims.numCtas && !every.busy();
+            ASSERT_EQ(drained,
+                      next_due == l.dims.numCtas && !due.busy());
+            idle_cycles = drained ? idle_cycles + 1 : 0;
+        }
+        due.replaySteps(skipped);
+        EXPECT_GT(skipped_total, 0u);
+        EXPECT_EQ(st_every.warpInstrs, st_due.warpInstrs);
+        EXPECT_EQ(st_every.stallCycles, st_due.stallCycles);
+        EXPECT_EQ(st_every.occCycles, st_due.occCycles);
+        EXPECT_EQ(st_every.schedulerSlots, st_due.schedulerSlots);
+        EXPECT_EQ(st_every.schedulerSlots,
+                  cycle * static_cast<uint64_t>(cfg.numSchedulers));
+        EXPECT_EQ(st_every.fastForwardCycles, st_due.fastForwardCycles);
+        EXPECT_EQ(st_every.l1Hits, st_due.l1Hits);
+        EXPECT_EQ(st_every.l2Misses, st_due.l2Misses);
+    }
+}
+
+/**
+ * Every trace sample is a snapshot of complete accounting: each
+ * scheduler slot of every cycle before the sample lands in exactly
+ * one occupancy bucket — also for a sampling core that sits frozen or
+ * empty (skipped by the simulator) for most of the run.
+ */
+TEST(Simulator, TraceSamplesSeeSettledCounters)
+{
+    const GpuConfig cfg = tinyNoSampling();
+    for (const int core : {0, 1}) {
+        SCOPED_TRACE(testing::Message() << "core " << core);
+        GpuSimulator sim(cfg);
+        SimOptions opts;
+        opts.smSampleEnabled = true;
+        opts.smSampleCore = core;
+        opts.smSampleIntervalCycles = 16;
+        // One CTA: core 1 never gets one.
+        const KernelStats st = sim.run(mixedMemLaunch(1), opts);
+        ASSERT_GT(st.smSamples.size(), 3u);
+        for (const SmSchedSample &s : st.smSamples) {
+            uint64_t slots = 0;
+            for (const uint64_t v : s.occCycles)
+                slots += v;
+            EXPECT_EQ(slots,
+                      s.cycle * static_cast<uint64_t>(cfg.numSchedulers))
+                << "sample at cycle " << s.cycle;
+        }
+    }
 }
 
 TEST(Simulator, StatSetExportHasKeyMetrics)
