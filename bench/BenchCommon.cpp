@@ -1,10 +1,7 @@
 #include "bench/BenchCommon.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 
-#include "hwdb/HwPresets.hpp"
-#include "util/Logging.hpp"
 #include "util/StringUtils.hpp"
 
 namespace gsuite::bench {
@@ -48,92 +45,55 @@ sageSpmmUnsupported(const UserParams &p)
            p.framework == Framework::Gsuite;
 }
 
-SimRun
-runSimPipeline(DatasetId id, GnnModelKind model, CompModel comp,
-               const SimBenchOptions &opts)
-{
-    UserParams p;
-    p.dataset = datasetInfo(id).name;
-    p.model = model;
-    p.comp = comp;
-    p.framework = Framework::Gsuite;
-    p.engine = EngineKind::Sim;
-    p.runs = 1;
-    p.layers = opts.layers;
-    p.seed = opts.seed;
-    p.maxCtas = opts.maxCtas;
-    p.profileCaches = opts.profileCaches;
-    p.simThreads = opts.simThreads;
-    p.simParallelLaunches = opts.parallelLaunches;
-
-    const RunOutcome out = BenchSession::runPoint(p);
-    SimRun run;
-    run.timeline = out.timeline;
-    run.byClass = simStatsByClass(run.timeline);
-    run.scale = out.scaleDescription;
-    return run;
-}
-
 std::string
 pct(double fraction)
 {
     return fmtDouble(100.0 * fraction, 1);
 }
 
-BenchArgs
-BenchArgs::parse(int argc, char **argv)
+BenchArgs::BenchArgs(const OptionSet &cli,
+                     std::initializer_list<std::string> extra,
+                     const UserParams &defaults)
+    : quick(cli.getBool("quick", false))
 {
-    OptionSet opts;
-    opts.parseArgs(argc, argv);
-    const BenchArgs args = parse(opts);
-    opts.rejectUnread();
-    return args;
+    std::vector<std::string> flags = {"list-gpus", "layers",
+                                      "sweep-threads", "gpu",
+                                      "csv", "trace", "quiet"};
+    flags.insert(flags.end(), extra);
+    params = UserParams::fromOptions(cli, flags, defaults);
 }
 
-BenchArgs
-BenchArgs::parse(const OptionSet &opts)
+BenchArgs::BenchArgs(int argc, char **argv)
 {
-    if (opts.getBool("list-gpus", false))
-        listHwPresetsAndExit();
-    BenchArgs args;
-    args.csvPath = opts.getString("csv", "");
-    args.quick = opts.getBool("quick", false);
-    args.layers = static_cast<int>(opts.getInt("layers", 2));
-    args.sweepThreads =
-        static_cast<int>(opts.getInt("sweep-threads", 1));
-    args.gpus = expandGpuSpecs(opts.getString("gpu", "v100-sim"));
-    args.tracePath = opts.getString("trace", "");
-    if (opts.getBool("quiet", false))
-        setLogLevel(LogLevel::Quiet);
-    return args;
+    OptionSet cli;
+    cli.parseArgs(argc, argv);
+    *this = BenchArgs(cli);
+    cli.rejectUnread();
 }
 
 UserParams
 BenchArgs::simBase() const
 {
-    UserParams p;
+    UserParams p = params;
     p.framework = Framework::Gsuite;
     p.engine = EngineKind::Sim;
     p.runs = 1;
-    p.layers = layers;
     p.maxCtas = maxCtas();
     p.simThreads = 0;          // auto (budget-composed in sweeps)
     p.simParallelLaunches = 0; // auto
-    // Comma-join so SweepSpec::expand grows a GPU axis from the
-    // base params — every sim bench inherits --gpu sweeps for free.
-    p.gpu = join(gpus, ',');
-    p.tracePath = tracePath;
     return p;
 }
 
 UserParams
 BenchArgs::functionalBase() const
 {
-    UserParams p;
+    UserParams p = params;
     p.framework = Framework::Gsuite;
     p.engine = EngineKind::Functional;
     p.runs = quick ? 1 : 3;
-    p.layers = layers;
+    // The functional engine models no machine: a --gpu list would
+    // only repeat every point.
+    p.gpu = UserParams{}.gpu;
     return p;
 }
 
@@ -141,7 +101,7 @@ BenchSession::Options
 BenchArgs::sessionOptions() const
 {
     BenchSession::Options opts;
-    opts.sweepThreads = sweepThreads;
+    opts.sweepThreads = params.sweepThreads;
     return opts;
 }
 

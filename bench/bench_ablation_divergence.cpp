@@ -18,7 +18,7 @@ using namespace gsuite::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const BenchArgs args(argc, argv);
     banner("Ablation: indexSelect divergence vs feature width",
            "Sectors per global load (1 = perfectly coalesced, 32 = "
            "fully divergent), with the resulting L1 hit rate and "
@@ -59,7 +59,7 @@ main(int argc, char **argv)
                 return out;
             });
 
-    CsvWriter csv(args.csvPath);
+    CsvWriter csv(args.params.csvOut);
     csv.header({"feature_width", "sectors_per_mem_instr",
                 "l1_hit_rate", "memdep_share", "cycles"});
 

@@ -16,7 +16,7 @@ using namespace gsuite::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const BenchArgs args(argc, argv);
     banner("Ablation: L1 load bypass, gSuite-MP kernels",
            "Cycles with the sectored L1 vs with global loads routed "
            "straight to L2; <1.0 speedup means the L1 was helping.");
@@ -38,7 +38,7 @@ main(int argc, char **argv)
     const ResultStore store =
         BenchSession(args.sessionOptions()).run(spec);
 
-    CsvWriter csv(args.csvPath);
+    CsvWriter csv(args.params.csvOut);
     csv.header({"model", "dataset", "kernel", "l1_cycles",
                 "bypass_cycles", "bypass_speedup", "l1_hit_rate"});
 

@@ -19,7 +19,7 @@ using namespace gsuite::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const BenchArgs args(argc, argv);
     banner("Ablation: MP vs SpMM kernel time, GCN, feature sweep",
            "Functional kernel wall-clock (no framework overheads), "
            "2-layer GCN, hidden width = feature cap.");
@@ -47,7 +47,7 @@ main(int argc, char **argv)
     const ResultStore store =
         BenchSession(args.sessionOptions()).run(spec);
 
-    CsvWriter csv(args.csvPath);
+    CsvWriter csv(args.params.csvOut);
     csv.header({"dataset", "feature_cap", "mp_ms", "spmm_ms",
                 "mp_over_spmm"});
 

@@ -16,7 +16,7 @@ using namespace gsuite::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const BenchArgs args(argc, argv);
     banner("Ablation: GTO vs LRR warp scheduling, GCN gSuite-MP",
            "Cycles per kernel class and the LRR/GTO ratio.");
 
@@ -36,7 +36,7 @@ main(int argc, char **argv)
     const ResultStore store =
         BenchSession(args.sessionOptions()).run(spec);
 
-    CsvWriter csv(args.csvPath);
+    CsvWriter csv(args.params.csvOut);
     csv.header({"dataset", "kernel", "gto_cycles", "lrr_cycles",
                 "lrr_over_gto"});
 

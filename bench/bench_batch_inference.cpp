@@ -63,7 +63,7 @@ main(int argc, char **argv)
     cli.parseArgs(argc, argv);
     const std::string json_path =
         cli.getString("json", "BENCH_batch_inference.json");
-    const BenchArgs args = BenchArgs::parse(cli);
+    const BenchArgs args(cli, {"dataset", "model"});
     const int lanes = static_cast<int>(cli.getInt("lanes", 4));
 
     std::vector<int> batches;
@@ -84,10 +84,8 @@ main(int argc, char **argv)
     if (batches.empty() || batches.front() != 1)
         fatal("--batches must start at 1 (the unbatched baseline)");
 
-    UserParams base = args.simBase();
-    base.dataset = cli.getString("dataset", "cora");
-    base.model = gnnModelFromName(cli.getString("model", "gcn"));
     cli.rejectUnread();
+    UserParams base = args.simBase();
     base.comp = CompModel::Mp;
     // The lanes ARE the measured concurrency: launches simulate
     // single-threaded on their own lane, deterministically.
@@ -188,7 +186,7 @@ main(int argc, char **argv)
                 "%s\n",
                 isolation_ok ? "yes" : "NO");
 
-    store.toCsv(args.csvPath);
+    store.toCsv(args.params.csvOut);
     store.toJson(json_path,
                  {{"lanes", static_cast<double>(lanes)},
                   {"quick", args.quick ? 1.0 : 0.0}});

@@ -6,7 +6,8 @@
  *
  * Usage:
  *   bench_edgelist --edgelist PATH [--flen N] [--model gcn]
- *                  [--comp mp] [--layers N] [--csv FILE] [--quick]
+ *                  [--comp mp] [--layers N] [--sim-threads N]
+ *                  [--csv FILE] [--quick]
  *
  * Without --edgelist a small demo graph is generated, exported via
  * graph/EdgeListIo and re-loaded, exercising the save/load loop the
@@ -26,19 +27,14 @@ using namespace gsuite::bench;
 int
 main(int argc, char **argv)
 {
-    OptionSet opts;
-    opts.parseArgs(argc, argv);
-    const bool quick = opts.getBool("quick", false);
-    std::string path = opts.getString("edgelist", "");
-    const int64_t flen = opts.getInt("flen", 16);
-    const std::string csv_path = opts.getString("csv", "");
-    const GnnModelKind model =
-        gnnModelFromName(opts.getString("model", "gcn"));
-    const CompModel comp = compModelFromName(opts.getString("comp", "mp"));
-    const int layers = static_cast<int>(opts.getInt("layers", 2));
-    const int sim_threads =
-        static_cast<int>(opts.getInt("sim-threads", 0));
-    opts.rejectUnread();
+    OptionSet cli;
+    cli.parseArgs(argc, argv);
+    const bool quick = cli.getBool("quick", false);
+    UserParams base = UserParams::fromOptions(
+        cli, {"model", "comp", "layers", "sim-threads", "csv"}, {});
+    std::string path = cli.getString("edgelist", "");
+    const int64_t flen = cli.getInt("flen", 16);
+    cli.rejectUnread();
 
     banner("Edge-list dataset bench",
            "SNAP-format 'u v' edge list through the sweep API "
@@ -59,16 +55,10 @@ main(int argc, char **argv)
                     path.c_str());
     }
 
-    UserParams base;
-    base.framework = Framework::Gsuite;
     base.engine = EngineKind::Sim;
     base.runs = 1;
     base.maxCtas = quick ? 256 : 2048;
-    base.model = model;
-    base.comp = comp;
-    base.layers = layers;
     base.featureCap = flen; // file datasets take flen from the cap
-    base.simThreads = sim_threads;
 
     const SweepSpec spec =
         SweepSpec{}.base(base).datasetNames({"file:" + path});
@@ -96,6 +86,6 @@ main(int argc, char **argv)
     }
     table.print();
 
-    store.toCsv(csv_path);
+    store.toCsv(base.csvOut);
     return 0;
 }

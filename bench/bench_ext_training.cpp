@@ -36,7 +36,7 @@ phaseOf(const std::string &name)
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const BenchArgs args(argc, argv);
     banner("Extension: GNN-training epoch characterization (GCN)",
            "Forward / loss / backward / update split per epoch; "
            "sim dataset scales.");
@@ -98,7 +98,7 @@ main(int argc, char **argv)
                  fmtDouble(m.at("final_acc"), 3)}};
     };
 
-    CsvWriter csv(args.csvPath);
+    CsvWriter csv(args.params.csvOut);
     csv.header({"dataset", "forward_pct", "loss_pct", "backward_pct",
                 "update_pct", "epoch_ms", "final_loss",
                 "final_acc"});

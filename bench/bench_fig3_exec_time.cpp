@@ -40,7 +40,7 @@ columns()
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const BenchArgs args(argc, argv);
     const int runs = args.quick ? 1 : 3;
     banner("Fig. 3: end-to-end execution time (seconds)",
            "Mean of " + std::to_string(runs) +
@@ -60,7 +60,7 @@ main(int argc, char **argv)
     const ResultStore store =
         BenchSession(args.sessionOptions()).run(spec);
 
-    store.toCsv(args.csvPath,
+    store.toCsv(args.params.csvOut,
                 {"model", "dataset", "framework", "end_to_end_sec",
                  "kernel_sec", "scale"},
                 [](const SweepResult &r)

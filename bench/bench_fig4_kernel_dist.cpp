@@ -73,7 +73,7 @@ shareCells(const SweepResult &r)
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const BenchArgs args(argc, argv);
     banner("Fig. 4: execution time distribution of the kernels (%)",
            "Shares of per-kernel wall-clock time; SpGEMM counts "
            "toward the SpMM column, elementwise/aux toward other.");
@@ -90,7 +90,7 @@ main(int argc, char **argv)
     const ResultStore store =
         BenchSession(args.sessionOptions()).run(spec);
 
-    store.toCsv(args.csvPath,
+    store.toCsv(args.params.csvOut,
                 {"framework", "model", "dataset", "sgemm", "scatter",
                  "indexSelect", "SpMM", "other"},
                 [](const SweepResult &r)

@@ -46,7 +46,7 @@ emitRows(TablePrinter &table, CsvWriter &csv, const char *config,
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const BenchArgs args(argc, argv);
     banner("Fig. 5: instruction breakdown of the kernels (%)",
            "Timing simulator, sim dataset scales; FP32 / INT / "
            "Load-Store / Control / other per core kernel.");
@@ -69,7 +69,7 @@ main(int argc, char **argv)
     const ResultStore store =
         BenchSession(args.sessionOptions()).run(spec);
 
-    CsvWriter csv(args.csvPath);
+    CsvWriter csv(args.params.csvOut);
     csv.header({"config", "kernel", "FP32", "INT", "LoadStore",
                 "Control", "other"});
 

@@ -46,7 +46,7 @@ headerCells()
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const BenchArgs args(argc, argv);
     banner("Fig. 6: issue stall distribution of the kernels (%)",
            "Timing simulator, sim dataset scales (printed by "
            "bench_table4_datasets).");
@@ -64,7 +64,7 @@ main(int argc, char **argv)
     const ResultStore store =
         BenchSession(args.sessionOptions()).run(spec);
 
-    CsvWriter csv(args.csvPath);
+    CsvWriter csv(args.params.csvOut);
     {
         std::vector<std::string> h = {"comp"};
         for (const auto &c : headerCells())

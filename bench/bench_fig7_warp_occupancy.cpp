@@ -21,7 +21,7 @@ using namespace gsuite::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const BenchArgs args(argc, argv);
     banner("Fig. 7: warp occupancy distribution, gSuite-MP kernels "
            "(%)",
            "Per scheduler-cycle: Stall (ready warp blocked by the "
@@ -60,7 +60,7 @@ main(int argc, char **argv)
         return out;
     };
 
-    CsvWriter csv(args.csvPath);
+    CsvWriter csv(args.params.csvOut);
     csv.header({"model", "dataset", "kernel", "Stall", "Idle", "W8",
                 "W20", "W32"});
     TablePrinter table;

@@ -21,7 +21,7 @@ using namespace gsuite::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const BenchArgs args(argc, argv);
     banner("Fig. 8: L1/L2 hit rates, hardware profiler vs simulator "
            "(%)",
            "MP kernels at sim dataset scales; hw = V100-geometry "
@@ -69,7 +69,7 @@ main(int argc, char **argv)
     TablePrinter table;
     table.header({"model", "dataset", "kernel", "L1 hw%", "L1 sim%",
                   "L2 hw%", "L2 sim%"});
-    CsvWriter csv(args.csvPath);
+    CsvWriter csv(args.params.csvOut);
     csv.header({"model", "dataset", "kernel", "l1_hw", "l1_sim",
                 "l2_hw", "l2_sim"});
     for (const auto &r : store) {

@@ -19,7 +19,7 @@ using namespace gsuite::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const BenchArgs args(argc, argv);
     banner("Fig. 9: compute/memory utilization, gSuite-MP kernels "
            "(%)",
            "compute = ALU issue-slot occupancy; memory = DRAM "
@@ -54,7 +54,7 @@ main(int argc, char **argv)
         return out;
     };
 
-    CsvWriter csv(args.csvPath);
+    CsvWriter csv(args.params.csvOut);
     csv.header({"model", "dataset", "kernel", "compute", "memory"});
     TablePrinter table;
     table.header({"model", "dataset", "kernel", "compute%",

@@ -28,6 +28,7 @@
 #include "bench/BenchCommon.hpp"
 #include "hwdb/HwPresets.hpp"
 #include "util/Logging.hpp"
+#include "util/StringUtils.hpp"
 
 using namespace gsuite;
 using namespace gsuite::bench;
@@ -39,16 +40,15 @@ main(int argc, char **argv)
     cli.parseArgs(argc, argv);
     const std::string json_path =
         cli.getString("json", "BENCH_gpu_compare.json");
-    const std::string dataset = cli.getString("dataset", "cora");
-    // BenchArgs handles --list-gpus/--quick/--csv/--sweep-threads;
-    // default to the full machine registry rather than one preset.
-    BenchArgs args = BenchArgs::parse(cli);
-    if (!cli.has("gpu"))
-        args.gpus = sweepableHwPresetNames();
+    // Default to the full machine registry rather than one preset.
+    UserParams defaults;
+    defaults.gpu = join(sweepableHwPresetNames(), ',');
+    const BenchArgs args(cli, {"dataset"}, defaults);
     cli.rejectUnread();
 
+    const std::vector<std::string> gpus = split(args.params.gpu, ',');
     std::string gpu_note;
-    for (const std::string &g : args.gpus)
+    for (const std::string &g : gpus)
         gpu_note += (gpu_note.empty() ? "" : ", ") + g;
     banner("cross-GPU comparison (hwdb presets)",
            "machines: " + gpu_note +
@@ -60,12 +60,10 @@ main(int argc, char **argv)
         base.nodeDivisor = 16;
         base.edgeDivisor = 16;
     }
-    base.dataset = dataset;
 
     const SweepSpec spec =
         SweepSpec{}
             .base(base)
-            .gpus(args.gpus)
             .models({GnnModelKind::Gcn, GnnModelKind::Gin})
             .comps({CompModel::Mp});
 
@@ -145,9 +143,9 @@ main(int argc, char **argv)
     }
     table.print();
 
-    store.toCsv(args.csvPath);
+    store.toCsv(args.params.csvOut);
     store.toJson(json_path,
-                 {{"machines", static_cast<double>(args.gpus.size())},
+                 {{"machines", static_cast<double>(gpus.size())},
                   {"quick", args.quick ? 1.0 : 0.0}});
     std::printf("wrote %s\n", json_path.c_str());
     return store.allOk() ? 0 : 1;

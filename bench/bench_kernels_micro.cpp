@@ -87,10 +87,14 @@ main(int argc, char **argv)
 {
     OptionSet cli;
     cli.parseArgs(argc, argv);
-    const BenchArgs args = BenchArgs::parse(cli);
+    // A serial host-CPU timing bench: no GPU model, no sweep lanes,
+    // so --gpu and --sweep-threads are not declared.
+    const UserParams params = UserParams::fromOptions(
+        cli, {"list-gpus", "layers", "csv", "trace", "quiet"}, {});
+    const bool quick = cli.getBool("quick", false);
     const std::string json_path = cli.getString("json", "");
-    const int reps = static_cast<int>(
-        cli.getInt("reps", args.quick ? 3 : 20));
+    const int reps =
+        static_cast<int>(cli.getInt("reps", quick ? 3 : 20));
     cli.rejectUnread();
     if (reps < 1)
         fatal("--reps must be >= 1");
@@ -98,14 +102,6 @@ main(int argc, char **argv)
     banner("kernel microbenchmarks",
            "functional kernels across input sizes, min of " +
                std::to_string(reps) + " reps");
-    // Host-CPU wall-clock bench: points must run serially and no
-    // GPU model is involved, so the shared sweep flags don't apply.
-    if (args.sweepThreads != 1)
-        std::printf("note: --sweep-threads ignored (serial timing "
-                    "bench)\n");
-    if (args.gpus != std::vector<std::string>{"v100-sim"})
-        std::printf("note: --gpu ignored (host-CPU functional "
-                    "kernels)\n");
 
     struct SizedCase {
         std::string label;
@@ -224,7 +220,7 @@ main(int argc, char **argv)
     std::vector<SweepVariant> variants;
     std::vector<std::function<RunOutcome(int)>> runners;
     for (const SizedCase &c : cases) {
-        if (args.quick && !c.quickOk)
+        if (quick && !c.quickOk)
             continue;
         variants.push_back({c.label, nullptr});
         runners.push_back(c.run);
@@ -261,10 +257,10 @@ main(int argc, char **argv)
     }
     table.print();
 
-    store.toCsv(args.csvPath);
+    store.toCsv(params.csvOut);
     store.toJson(json_path,
                  {{"reps", static_cast<double>(reps)},
-                  {"quick", args.quick ? 1.0 : 0.0}});
+                  {"quick", quick ? 1.0 : 0.0}});
     if (!json_path.empty())
         std::printf("wrote %s\n", json_path.c_str());
     return store.allOk() ? 0 : 1;

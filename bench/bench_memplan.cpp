@@ -94,7 +94,7 @@ main(int argc, char **argv)
 {
     OptionSet cli;
     cli.parseArgs(argc, argv);
-    const BenchArgs args = BenchArgs::parse(cli);
+    const BenchArgs args(cli, {"dataset"});
     const std::string json_path =
         cli.getString("json", "BENCH_memplan.json");
     const std::vector<int> batches = parseBatchList(
@@ -102,9 +102,8 @@ main(int argc, char **argv)
     const std::vector<double> budgets = parseBudgetFractions(
         cli.getString("budgets", "1,0.75,0.5"));
 
-    UserParams base = args.simBase();
-    base.dataset = cli.getString("dataset", "cora");
     cli.rejectUnread();
+    UserParams base = args.simBase();
     base.comp = CompModel::Mp; // supported by all four models
     base.memPlan = true;
     if (args.quick) {
@@ -146,7 +145,7 @@ main(int argc, char **argv)
     store.resize(points.size());
     // One pre-built sink per point (--trace): parallelFor lanes
     // write only their own slot; merged export keeps point order.
-    const bool tracing = !args.tracePath.empty();
+    const bool tracing = !args.params.tracePath.empty();
     TraceSinkOptions sink_opts;
     sink_opts.enabled = true;
     std::vector<std::unique_ptr<TraceSink>> point_sinks(
@@ -155,8 +154,8 @@ main(int argc, char **argv)
         for (auto &s : point_sinks)
             s = std::make_unique<TraceSink>(sink_opts);
     std::atomic<bool> planned_le_naive{true};
-    ThreadPool pool(args.sweepThreads > 0
-                        ? args.sweepThreads
+    ThreadPool pool(args.params.sweepThreads > 0
+                        ? args.params.sweepThreads
                         : ThreadPool::defaultLanes());
     pool.parallelFor(points.size(), [&](size_t i, int) {
         const PlanPoint &pt = points[i];
@@ -295,14 +294,14 @@ main(int argc, char **argv)
     std::fputs(table.render().c_str(), stdout);
 
     store.toJson(json_path);
-    if (!args.csvPath.empty())
-        store.toCsv(args.csvPath);
+    if (!args.params.csvOut.empty())
+        store.toCsv(args.params.csvOut);
     if (tracing) {
         std::vector<const TraceSink *> sinks;
         for (const auto &s : point_sinks)
             sinks.push_back(s.get());
-        TraceSink::writeMergedFile(args.tracePath, sinks);
-        std::printf("wrote %s\n", args.tracePath.c_str());
+        TraceSink::writeMergedFile(args.params.tracePath, sinks);
+        std::printf("wrote %s\n", args.params.tracePath.c_str());
     }
     std::printf("\nwrote %s (%zu points)\n", json_path.c_str(),
                 points.size());

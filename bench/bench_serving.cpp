@@ -112,7 +112,7 @@ main(int argc, char **argv)
 {
     OptionSet cli;
     cli.parseArgs(argc, argv);
-    const BenchArgs args = BenchArgs::parse(cli);
+    const BenchArgs args(cli, {"dataset", "model"});
     const std::string json_path =
         cli.getString("json", "BENCH_serving.json");
     const uint64_t horizon =
@@ -157,10 +157,8 @@ main(int argc, char **argv)
     }
     policy.validate();
 
-    UserParams base = args.simBase();
-    base.dataset = cli.getString("dataset", "cora");
-    base.model = gnnModelFromName(cli.getString("model", "gcn"));
     cli.rejectUnread();
+    UserParams base = args.simBase();
     base.comp = CompModel::Mp;
     base.simThreads = 0; // profiling only; serving loop is host code
     if (args.quick) {
@@ -179,7 +177,7 @@ main(int argc, char **argv)
 
     // ---- tracing (--trace): one sink for class profiling plus one
     // per point, merged into a single Perfetto-loadable file ----
-    const bool tracing = !args.tracePath.empty();
+    const bool tracing = !args.params.tracePath.empty();
     TraceSinkOptions sink_opts;
     sink_opts.enabled = true;
     TraceSink profile_sink(tracing ? sink_opts : TraceSinkOptions{});
@@ -193,7 +191,8 @@ main(int argc, char **argv)
         std::string scale;
     };
     std::map<std::string, GpuContext> contexts;
-    for (const std::string &spec : args.gpus) {
+    const std::vector<std::string> gpus = split(base.gpu, ',');
+    for (const std::string &spec : gpus) {
         GpuContext ctx;
         ctx.config = resolveGpuSpec(spec);
         ctx.scale = base.resolveScale().describe();
@@ -238,7 +237,7 @@ main(int argc, char **argv)
 
     // ---- expand the grid: gpu x arrival x load x slo x fault ----
     std::vector<ServingPoint> points;
-    for (const std::string &gpu : args.gpus)
+    for (const std::string &gpu : gpus)
         for (const std::string &arrival : arrivals) {
             const ArrivalSpec spec = parseArrivalSpec(arrival);
             const bool traced = spec.kind == ArrivalKind::Trace;
@@ -280,8 +279,9 @@ main(int argc, char **argv)
             s = std::make_unique<TraceSink>(sink_opts);
     std::atomic<bool> determinism_ok{true};
     std::atomic<bool> faults_seen_ok{true};
-    ThreadPool pool(args.sweepThreads > 0 ? args.sweepThreads
-                                          : ThreadPool::defaultLanes());
+    ThreadPool pool(args.params.sweepThreads > 0
+                        ? args.params.sweepThreads
+                        : ThreadPool::defaultLanes());
     pool.parallelFor(points.size(), [&](size_t i, int) {
         const ServingPoint &pt = points[i];
         const GpuContext &ctx = contexts.at(pt.gpuSpec);
@@ -463,7 +463,7 @@ main(int argc, char **argv)
                 faults_seen_ok ? "yes" : "NO");
 
     store.toCsv(
-        args.csvPath,
+        args.params.csvOut,
         {"label", "gpu", "fault_plan", "offered", "completed",
          "goodput", "shed_overflow", "shed_deadline",
          "shed_oversize", "failed", "retries", "slo_violations",
@@ -495,11 +495,11 @@ main(int argc, char **argv)
         sinks.push_back(&profile_sink);
         for (const auto &s : point_sinks)
             sinks.push_back(s.get());
-        TraceSink::writeMergedFile(args.tracePath, sinks);
+        TraceSink::writeMergedFile(args.params.tracePath, sinks);
         uint64_t dropped = 0;
         for (const TraceSink *s : sinks)
             dropped += s->droppedEvents();
-        std::printf("wrote %s%s\n", args.tracePath.c_str(),
+        std::printf("wrote %s%s\n", args.params.tracePath.c_str(),
                     dropped ? " (WITH DROPPED EVENTS)" : "");
     }
     return store.allOk() && determinism_ok && faults_seen_ok ? 0 : 1;

@@ -16,7 +16,7 @@ using namespace gsuite::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const BenchArgs args(argc, argv);
     banner("Table IV: datasets included in the evaluation",
            "Synthetic generators matched to the paper's statistics "
            "(DESIGN.md #4).");
@@ -48,7 +48,7 @@ main(int argc, char **argv)
     TablePrinter table;
     table.header({"Dataset", "Nodes", "Feature Length", "Edges",
                   "Short Form", "Generated (functional scale)"});
-    CsvWriter csv(args.csvPath);
+    CsvWriter csv(args.params.csvOut);
     csv.header({"dataset", "nodes", "feature_len", "edges",
                 "short_form", "gen_nodes", "gen_edges", "gen_flen",
                 "scale"});

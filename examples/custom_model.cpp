@@ -27,7 +27,7 @@
 #include "kernels/Scatter.hpp"
 #include "kernels/Sgemm.hpp"
 #include "util/Csv.hpp"
-#include "util/Options.hpp"
+#include "suite/UserParams.hpp"
 #include "util/Random.hpp"
 #include "util/Table.hpp"
 
@@ -38,9 +38,9 @@ main(int argc, char **argv)
 {
     OptionSet opts;
     opts.parseArgs(argc, argv);
-    const std::string dataset = opts.getString("dataset", "cora");
+    const UserParams params = UserParams::fromOptions(opts, {"dataset"}, {});
     opts.rejectUnread();
-    const Graph g = loadDataset(dataset, DatasetScale::full(), 7);
+    const Graph g = loadDataset(params.dataset, DatasetScale::full(), 7);
     std::printf("loaded %s\n", g.summary().c_str());
 
     const int64_t f = g.featureLen();

@@ -24,22 +24,20 @@ main(int argc, char **argv)
 {
     OptionSet opts;
     opts.parseArgs(argc, argv);
-    const std::string dataset = opts.getString("dataset", "cora");
-    const int layers = static_cast<int>(opts.getInt("layers", 2));
-    const uint64_t seed =
-        static_cast<uint64_t>(opts.getInt("seed", 7));
+    const UserParams params =
+        UserParams::fromOptions(opts, {"dataset", "layers", "seed"}, {});
     opts.rejectUnread();
 
     // 1. Load a dataset (synthetic, matched to Table IV statistics).
     const Graph graph =
-        loadDataset(dataset, DatasetScale::full(), seed);
+        loadDataset(params.dataset, DatasetScale::full(), params.seed);
     std::printf("loaded %s\n", graph.summary().c_str());
 
     // 2. Configure a 2-layer GCN.
     ModelConfig cfg;
     cfg.model = GnnModelKind::Gcn;
-    cfg.layers = layers;
-    cfg.seed = seed;
+    cfg.layers = params.layers;
+    cfg.seed = params.seed;
 
     // 3. Run it under the message-passing computational model.
     FunctionalEngine engine;

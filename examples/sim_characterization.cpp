@@ -15,7 +15,7 @@
 #include "graph/Datasets.hpp"
 #include "models/GnnModel.hpp"
 #include "util/Csv.hpp"
-#include "util/Options.hpp"
+#include "suite/UserParams.hpp"
 #include "util/Table.hpp"
 
 using namespace gsuite;
@@ -25,16 +25,18 @@ main(int argc, char **argv)
 {
     OptionSet opts;
     opts.parseArgs(argc, argv);
-    const std::string dataset = opts.getString("dataset", "cora");
-
-    ModelConfig cfg;
-    cfg.model = gnnModelFromName(opts.getString("model", "gcn"));
-    cfg.comp = compModelFromName(opts.getString("comp", "mp"));
-    cfg.layers = static_cast<int>(opts.getInt("layers", 2));
+    const UserParams params = UserParams::fromOptions(
+        opts, {"dataset", "model", "comp", "layers"}, {});
     opts.rejectUnread();
 
+    ModelConfig cfg;
+    cfg.model = params.model;
+    cfg.comp = params.comp;
+    cfg.layers = params.layers;
+
     const Graph graph = loadDataset(
-        dataset, defaultSimScale(datasetInfoByName(dataset).id), 7);
+        params.dataset,
+        defaultSimScale(datasetInfoByName(params.dataset).id), 7);
     std::printf("loaded %s\n", graph.summary().c_str());
 
     SimEngine::Options eopts;

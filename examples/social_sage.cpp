@@ -20,7 +20,7 @@
 #include "graph/EdgeListIo.hpp"
 #include "models/GnnModel.hpp"
 #include "util/Csv.hpp"
-#include "util/Options.hpp"
+#include "suite/UserParams.hpp"
 #include "util/Table.hpp"
 
 using namespace gsuite;
@@ -32,8 +32,11 @@ main(int argc, char **argv)
     opts.parseArgs(argc, argv);
 
     DatasetScale scale = defaultFunctionalScale(DatasetId::Reddit);
-    scale.edgeDivisor = opts.getInt("edge-div", scale.edgeDivisor);
-    const int layers = static_cast<int>(opts.getInt("layers", 2));
+    UserParams defaults;
+    defaults.edgeDivisor = scale.edgeDivisor;
+    const UserParams params =
+        UserParams::fromOptions(opts, {"edge-div", "layers"}, defaults);
+    scale.edgeDivisor = params.edgeDivisor;
     const std::string export_path = opts.getString("export", "");
     opts.rejectUnread();
     const Graph graph = loadDataset(DatasetId::Reddit, scale, 7);
@@ -61,7 +64,7 @@ main(int argc, char **argv)
     ModelConfig cfg;
     cfg.model = GnnModelKind::Sage;
     cfg.comp = CompModel::Mp;
-    cfg.layers = layers;
+    cfg.layers = params.layers;
     cfg.hidden = 32;
     cfg.outDim = 16;
 

@@ -15,7 +15,7 @@
 #include "graph/Datasets.hpp"
 #include "training/GcnTrainer.hpp"
 #include "util/Csv.hpp"
-#include "util/Options.hpp"
+#include "suite/UserParams.hpp"
 #include "util/Table.hpp"
 
 using namespace gsuite;
@@ -25,19 +25,21 @@ main(int argc, char **argv)
 {
     OptionSet opts;
     opts.parseArgs(argc, argv);
-    const std::string dataset = opts.getString("dataset", "cora");
+    const UserParams params =
+        UserParams::fromOptions(opts, {"dataset", "model", "hidden"}, {});
     const bool on_sim = opts.getBool("sim", false);
 
     TrainConfig cfg;
-    cfg.model = gnnModelFromName(opts.getString("model", "gcn"));
+    cfg.model = params.model;
+    cfg.hidden = params.hidden;
     cfg.epochs = static_cast<int>(opts.getInt("epochs", 30));
     cfg.lr = static_cast<float>(opts.getDouble("lr", 2.0));
     cfg.classes = static_cast<int>(opts.getInt("classes", 4));
-    cfg.hidden = static_cast<int>(opts.getInt("hidden", 16));
     opts.rejectUnread();
 
     const Graph g = loadDataset(
-        dataset, defaultSimScale(datasetInfoByName(dataset).id), 7);
+        params.dataset,
+        defaultSimScale(datasetInfoByName(params.dataset).id), 7);
     std::printf("loaded %s\n", g.summary().c_str());
 
     GnnTrainer trainer(g, cfg);

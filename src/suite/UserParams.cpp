@@ -1,7 +1,9 @@
 #include "suite/UserParams.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <type_traits>
 
 #include "frameworks/FrameworkAdapter.hpp"
 #include "hwdb/HwPresets.hpp"
@@ -85,117 +87,164 @@ applyCtaSampleSpec(GpuConfig &cfg, const std::string &spec)
         fatal("--sample fraction must be in (0, 1]");
 }
 
-UserParams
-UserParams::fromOptions(const OptionSet &opts)
+namespace {
+
+/**
+ * Normalize a --dataset list per component: "file:PATH" keeps its
+ * (case-sensitive) path, an rmat: spec is canonicalized so sweep
+ * labels and graph-cache keys are stable, and a Table IV name is
+ * lower-cased and validated.
+ */
+std::string
+normalizeDatasets(const std::string &list)
 {
-    if (opts.getBool("list-gpus", false))
-        listHwPresetsAndExit();
-
-    UserParams p;
-    p.dataset = opts.getString("dataset", p.dataset);
-    // "file:PATH" datasets keep their (case-sensitive) path; names
-    // are normalized and validated against the Table IV registry.
-    // Comma-separated lists (sweep shorthand for datasetNames())
-    // are validated per component.
-    {
-        std::string normalized;
-        for (const std::string &part : splitDatasetList(p.dataset)) {
-            if (!normalized.empty())
-                normalized += ',';
-            if (isFileDataset(part)) {
-                if (fileDatasetPath(part).empty())
-                    fatal("--dataset file: needs a path");
-                normalized += part;
-            } else if (isRmatDataset(part)) {
-                // Validate and canonicalize so sweep labels and
-                // graph-cache keys are stable. A bad spec ends this
-                // CLI cleanly rather than as an uncaught exception.
-                try {
-                    normalized += parseRmatSpec(part).canonical();
-                } catch (const RunException &e) {
-                    fatal("--dataset: %s", e.what());
-                }
-            } else {
-                const std::string name = toLower(trim(part));
-                datasetInfoByName(name); // validate early
-                normalized += name;
+    std::string normalized;
+    for (const std::string &part : splitDatasetList(list)) {
+        if (!normalized.empty())
+            normalized += ',';
+        if (isFileDataset(part)) {
+            if (fileDatasetPath(part).empty())
+                fatal("--dataset file: needs a path");
+            normalized += part;
+        } else if (isRmatDataset(part)) {
+            // A bad spec ends the CLI cleanly rather than as an
+            // uncaught exception.
+            try {
+                normalized += parseRmatSpec(part).canonical();
+            } catch (const RunException &e) {
+                fatal("--dataset: %s", e.what());
             }
-        }
-        p.dataset = normalized;
-    }
-    p.model = gnnModelFromName(opts.getString("model", "gcn"));
-    p.comp = compModelFromName(opts.getString("comp", "mp"));
-    p.framework =
-        frameworkFromName(opts.getString("framework", "gsuite"));
-    p.engine = engineKindFromName(
-        opts.getString("engine", "functional"));
-    p.layers = static_cast<int>(opts.getInt("layers", p.layers));
-    p.hidden = static_cast<int>(opts.getInt("hidden", p.hidden));
-    p.outDim = static_cast<int>(opts.getInt("outdim", p.outDim));
-    p.ginEps =
-        static_cast<float>(opts.getDouble("gineps", p.ginEps));
-    p.runs = static_cast<int>(opts.getInt("runs", p.runs));
-    p.seed = static_cast<uint64_t>(opts.getInt("seed", 7));
-    p.batch = static_cast<int>(opts.getInt("batch", p.batch));
-    p.profileCaches = opts.getBool("profile-caches", false);
-    p.memPlan = opts.getBool("mem-plan", p.memPlan);
-    p.simThreads =
-        static_cast<int>(opts.getInt("sim-threads", p.simThreads));
-    p.simParallelLaunches = static_cast<int>(
-        opts.getInt("sim-parallel", p.simParallelLaunches));
-    p.sweepThreads = static_cast<int>(
-        opts.getInt("sweep-threads", p.sweepThreads));
-    p.maxCtas = opts.getInt("max-ctas", p.maxCtas);
-    {
-        const int64_t ceiling = opts.getInt("cycle-ceiling", 0);
-        if (ceiling < 0)
-            fatal("--cycle-ceiling must be >= 0");
-        p.cycleCeiling = static_cast<uint64_t>(ceiling);
-    }
-    // The scheduler/l1-bypass overrides only engage when given, so
-    // a preset's own policy survives an override-free run.
-    if (opts.has("scheduler"))
-        p.scheduler = schedulerPolicyFromName(
-            opts.getString("scheduler"));
-    if (opts.has("l1-bypass"))
-        p.l1BypassLoads = opts.getBool("l1-bypass", false);
-    // --sample: validate every comma component now so a sweep list
-    // fails fast, but keep the list intact for SweepSpec to expand.
-    p.sample = opts.getString("sample", p.sample);
-    if (!p.sample.empty()) {
-        for (const std::string &part : split(p.sample, ',')) {
-            GpuConfig scratch;
-            applyCtaSampleSpec(scratch, part);
+        } else {
+            const std::string name = toLower(trim(part));
+            datasetInfoByName(name); // validate early
+            normalized += name;
         }
     }
-    // Normalize --gpu: validate + canonicalize each component,
-    // expand "all", install file-spec overhead overrides. A multi-
-    // spec result stays comma-joined for SweepSpec to expand.
-    p.gpu = join(expandGpuSpecs(opts.getString("gpu", p.gpu)), ',');
-    p.nodeDivisor = opts.getInt("node-div", -1);
-    p.edgeDivisor = opts.getInt("edge-div", -1);
-    p.featureCap = opts.getInt("feature-cap", -1);
-    p.csvOut = opts.getString("csv", "");
-    p.tracePath = opts.getString("trace", "");
+    return normalized;
+}
 
-    if (opts.getBool("verbose", false))
-        setLogLevel(LogLevel::Verbose);
-    if (opts.getBool("quiet", false))
-        setLogLevel(LogLevel::Quiet);
+/** Reader of an integer field; fatal() below Min. */
+template <auto Field, int64_t Min = INT64_MIN>
+void
+intFlag(const OptionSet &o, const char *n, UserParams &p)
+{
+    const int64_t v = o.getInt(n);
+    if (v < Min)
+        fatal("--%s must be >= %lld", n, static_cast<long long>(Min));
+    p.*Field = static_cast<std::remove_reference_t<decltype(p.*Field)>>(v);
+}
 
-    if (p.layers < 1)
-        fatal("--layers must be >= 1");
-    if (p.runs < 1)
-        fatal("--runs must be >= 1");
-    if (p.batch < 1)
-        fatal("--batch must be >= 1");
-    if (p.simThreads < 0 || p.simParallelLaunches < 0)
-        fatal("--sim-threads/--sim-parallel must be >= 0");
-    if (p.sweepThreads < 0)
-        fatal("--sweep-threads must be >= 0");
-    if (p.maxCtas < 1)
-        fatal("--max-ctas must be >= 1");
-    return p;
+/** Reader of a named-value field; Parse fatal()s on unknown names. */
+template <auto Field, auto Parse>
+void
+namedFlag(const OptionSet &o, const char *n, UserParams &p)
+{
+    p.*Field = Parse(o.getString(n));
+}
+
+/** One shared flag: its name and the reader that parses, validates
+ *  and stores a given value (called with the options, the name and
+ *  the params being built). */
+struct Flag {
+    const char *name;
+    void (*read)(const OptionSet &o, const char *n, UserParams &p);
+};
+
+/**
+ * The shared flag table: the one list of keys a CLI can declare. A
+ * flag's default is its field in the base params fromOptions() starts
+ * from. Read in this order: --list-gpus exits before anything else
+ * is checked, and --quiet wins over --verbose.
+ */
+const Flag kFlags[] = {
+    {"list-gpus",
+     [](auto &o, auto n, auto &) {
+         if (o.getBool(n, false))
+             listHwPresetsAndExit();
+     }},
+    {"dataset", namedFlag<&UserParams::dataset, normalizeDatasets>},
+    {"model", namedFlag<&UserParams::model, gnnModelFromName>},
+    {"comp", namedFlag<&UserParams::comp, compModelFromName>},
+    {"framework", namedFlag<&UserParams::framework, frameworkFromName>},
+    {"engine", namedFlag<&UserParams::engine, engineKindFromName>},
+    {"layers", intFlag<&UserParams::layers, 1>},
+    {"hidden", intFlag<&UserParams::hidden>},
+    {"outdim", intFlag<&UserParams::outDim>},
+    {"gineps",
+     [](auto &o, auto n, auto &p) {
+         p.ginEps = static_cast<float>(o.getDouble(n, p.ginEps));
+     }},
+    {"runs", intFlag<&UserParams::runs, 1>},
+    {"seed", intFlag<&UserParams::seed>},
+    {"batch", intFlag<&UserParams::batch, 1>},
+    {"profile-caches",
+     [](auto &o, auto n, auto &p) { p.profileCaches = o.getBool(n, false); }},
+    {"mem-plan",
+     [](auto &o, auto n, auto &p) { p.memPlan = o.getBool(n, false); }},
+    {"sim-threads", intFlag<&UserParams::simThreads, 0>},
+    {"sim-parallel", intFlag<&UserParams::simParallelLaunches, 0>},
+    {"sweep-threads", intFlag<&UserParams::sweepThreads, 0>},
+    {"max-ctas", intFlag<&UserParams::maxCtas, 1>},
+    {"cycle-ceiling", intFlag<&UserParams::cycleCeiling, 0>},
+    // The scheduler/l1-bypass overrides engage only when given, so a
+    // preset's own policy survives an override-free run.
+    {"scheduler", namedFlag<&UserParams::scheduler, schedulerPolicyFromName>},
+    {"l1-bypass",
+     [](auto &o, auto n, auto &p) { p.l1BypassLoads = o.getBool(n, false); }},
+    // Validate every comma component now so a sweep list fails fast,
+    // but keep the list intact for SweepSpec to expand.
+    {"sample",
+     [](auto &o, auto n, auto &p) {
+         p.sample = o.getString(n);
+         if (p.sample.empty())
+             return; // defer to the preset
+         for (const std::string &part : split(p.sample, ',')) {
+             GpuConfig scratch;
+             applyCtaSampleSpec(scratch, part);
+         }
+     }},
+    // Validate + canonicalize each component, expand "all", install
+    // file-spec overhead overrides. A multi-spec result stays
+    // comma-joined for SweepSpec to expand.
+    {"gpu",
+     [](auto &o, auto n, auto &p) {
+         p.gpu = join(expandGpuSpecs(o.getString(n)), ',');
+     }},
+    {"node-div", intFlag<&UserParams::nodeDivisor>},
+    {"edge-div", intFlag<&UserParams::edgeDivisor>},
+    {"feature-cap", intFlag<&UserParams::featureCap>},
+    {"csv", [](auto &o, auto n, auto &p) { p.csvOut = o.getString(n); }},
+    {"trace", [](auto &o, auto n, auto &p) { p.tracePath = o.getString(n); }},
+    {"verbose",
+     [](auto &o, auto n, auto &) {
+         if (o.getBool(n, false))
+             setLogLevel(LogLevel::Verbose);
+     }},
+    {"quiet",
+     [](auto &o, auto n, auto &) {
+         if (o.getBool(n, false))
+             setLogLevel(LogLevel::Quiet);
+     }},
+};
+
+} // namespace
+
+UserParams
+UserParams::fromOptions(const OptionSet &opts,
+                        const std::vector<std::string> &flags,
+                        UserParams base)
+{
+    size_t declared = 0;
+    for (const Flag &f : kFlags) {
+        if (std::find(flags.begin(), flags.end(), f.name) == flags.end())
+            continue;
+        ++declared;
+        if (opts.has(f.name))
+            f.read(opts, f.name, base);
+    }
+    panicIf(declared != flags.size(),
+            "a declared flag is not in the shared flag table");
+    return base;
 }
 
 UserParams
@@ -211,7 +260,10 @@ UserParams::fromArgs(int argc, const char *const *argv)
         merged.loadFile(cli.getString("config"));
     merged.parseArgs(argc, argv);
     merged.has("config"); // loaded above: mark it read
-    const UserParams p = fromOptions(merged);
+    std::vector<std::string> all;
+    for (const Flag &f : kFlags)
+        all.push_back(f.name);
+    const UserParams p = fromOptions(merged, all, {});
     merged.rejectUnread();
     return p;
 }

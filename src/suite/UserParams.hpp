@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "frameworks/Overheads.hpp"
 #include "graph/Datasets.hpp"
@@ -176,17 +177,22 @@ struct UserParams {
     std::string tracePath;
 
     /**
-     * Build params from an option set (config file + CLI merged),
-     * reading every key the suite's interface honours; fatal() on
-     * invalid values.
+     * Build params from an option set (config file + CLI merged):
+     * the one parser of the shared flags, driven by the flag table
+     * in UserParams.cpp. Reads the flags a CLI declares in @p flags
+     * on top of @p base, which holds their defaults; fatal() on
+     * invalid values. Keys outside @p flags stay unread, so the
+     * CLI's OptionSet::rejectUnread() rejects them.
      */
-    static UserParams fromOptions(const OptionSet &opts);
+    static UserParams fromOptions(const OptionSet &opts,
+                                  const std::vector<std::string> &flags,
+                                  UserParams base);
 
     /**
-     * Parse argv. "--config FILE" is loaded first (defaults), then
-     * the remaining options override it, exactly as the paper's
-     * interface behaves. Keys fromOptions() does not read are
-     * rejected with fatal() so typos surface.
+     * Parse argv with every shared flag. "--config FILE" is loaded
+     * first (defaults), then the remaining options override it,
+     * exactly as the paper's interface behaves. Keys fromOptions()
+     * does not read are rejected with fatal() so typos surface.
      */
     static UserParams fromArgs(int argc, const char *const *argv);
 

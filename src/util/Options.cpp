@@ -129,16 +129,13 @@ OptionSet::loadFile(const std::string &path)
     }
 }
 
-std::vector<std::string>
+void
 OptionSet::parseArgs(int argc, const char *const *argv)
 {
-    std::vector<std::string> positional;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (!startsWith(arg, "--")) {
-            positional.push_back(arg);
-            continue;
-        }
+        if (!startsWith(arg, "--"))
+            fatal("unexpected argument '%s'", arg.c_str());
         arg = arg.substr(2);
         if (arg.empty())
             fatal("empty option name in argument %d", i);
@@ -153,7 +150,6 @@ OptionSet::parseArgs(int argc, const char *const *argv)
             set(arg, "true"); // bare flag
         }
     }
-    return positional;
 }
 
 } // namespace gsuite

@@ -80,10 +80,11 @@ class OptionSet
 
     /**
      * Parse command-line arguments of the form "--key value",
-     * "--key=value" or bare "--flag" (stored as "true"). Returns the
-     * positional (non-option) arguments. fatal() on malformed options.
+     * "--key=value" or bare "--flag" (stored as "true"). fatal() on
+     * malformed options and on positional arguments: no CLI takes
+     * any.
      */
-    std::vector<std::string> parseArgs(int argc, const char *const *argv);
+    void parseArgs(int argc, const char *const *argv);
 
   private:
     std::map<std::string, std::string> values;

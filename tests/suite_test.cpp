@@ -161,6 +161,49 @@ TEST(UserParamsTest, UnknownDatasetIsFatal)
                 ::testing::ExitedWithCode(1), "");
 }
 
+TEST(UserParamsTest, FlagsOutsideTheDeclaredSubsetStayUnread)
+{
+    const char *argv[] = {"prog",     "--layers", "3", "--sample",
+                          "cta",      "--bogus",  "1", nullptr};
+    OptionSet opts;
+    opts.parseArgs(7, argv);
+    UserParams base;
+    base.gpu = "a100";
+    const UserParams p =
+        UserParams::fromOptions(opts, {"layers", "gpu"}, base);
+    EXPECT_EQ(p.layers, 3);
+    EXPECT_EQ(p.gpu, "a100"); // absent: the CLI's default stands
+    EXPECT_TRUE(p.sample.empty()); // a shared flag, but undeclared
+    EXPECT_EQ(opts.unreadKeys(),
+              (std::vector<std::string>{"sample", "bogus"}));
+    EXPECT_EXIT(opts.rejectUnread(), ::testing::ExitedWithCode(1),
+                "unknown option '--sample'");
+}
+
+TEST(UserParamsTest, SharedValuesAreValidatedWhileParsing)
+{
+    const std::vector<std::string> flags = {"layers", "sweep-threads"};
+    const char *layers[] = {"prog", "--layers", "0", nullptr};
+    OptionSet bad_layers;
+    bad_layers.parseArgs(3, layers);
+    EXPECT_EXIT(UserParams::fromOptions(bad_layers, flags, {}),
+                ::testing::ExitedWithCode(1), "--layers must be >= 1");
+
+    const char *threads[] = {"prog", "--sweep-threads", "-3", nullptr};
+    OptionSet bad_threads;
+    bad_threads.parseArgs(3, threads);
+    EXPECT_EXIT(UserParams::fromOptions(bad_threads, flags, {}),
+                ::testing::ExitedWithCode(1),
+                "--sweep-threads must be >= 0");
+}
+
+TEST(UserParamsTest, DeclaringAnUnknownFlagPanics)
+{
+    const OptionSet opts;
+    EXPECT_DEATH(UserParams::fromOptions(opts, {"layer"}, {}),
+                 "not in the shared flag table");
+}
+
 TEST(UserParamsTest, ScaleResolution)
 {
     UserParams p;

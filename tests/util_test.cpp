@@ -187,15 +187,24 @@ TEST(Options, ParseArgsFormats)
 {
     // Note: a bare flag consumes the next token unless it is another
     // option, so flags go last or use the --flag=true form.
-    const char *argv[] = {"prog", "--layers", "3",      "--model=gin",
-                          "pos1", "--quiet",  nullptr};
+    const char *argv[] = {"prog", "--layers", "3", "--model=gin",
+                          "--quiet", nullptr};
     OptionSet o;
-    const auto pos = o.parseArgs(6, argv);
+    o.parseArgs(5, argv);
     EXPECT_EQ(o.getInt("layers", 0), 3);
     EXPECT_EQ(o.getString("model"), "gin");
     EXPECT_TRUE(o.getBool("quiet", false));
-    ASSERT_EQ(pos.size(), 1u);
-    EXPECT_EQ(pos[0], "pos1");
+}
+
+TEST(Options, ParseArgsRejectsPositionalArguments)
+{
+    // No CLI takes positional arguments, so a stray one is an error
+    // rather than silently dropped.
+    const char *argv[] = {"prog", "--layers", "3", "--quiet", "true",
+                          "pos1", nullptr};
+    OptionSet o;
+    EXPECT_EXIT(o.parseArgs(6, argv), ::testing::ExitedWithCode(1),
+                "unexpected argument 'pos1'");
 }
 
 TEST(Options, LaterValuesOverride)
